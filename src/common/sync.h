@@ -52,7 +52,7 @@
 //     80   store-node       StorageNode column-family registry
 //     90   store-tables     Shard SSTable list
 //    100   store-io         MemTable map, WAL file, SSTable file handle
-//    110   journal          EventJournal / SlateLogger append files
+//    110   journal          bulk slate logger files (SlateLogger)
 //    112   slate-changelog  SlateChangelog segment files + manifest cursor
 //                           (appended under a slate-stripe lock on the
 //                           update path; synced from the flusher thread)

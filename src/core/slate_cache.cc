@@ -19,14 +19,19 @@ SlateCache::Entry* SlateCache::UpsertLocked(const SlateId& id) {
     lru_.splice(lru_.begin(), lru_, it->second);
     return &*it->second;
   }
-  lru_.push_front(Entry{id, Bytes(), false, false, 0});
+  lru_.push_front(Entry{id, Bytes(), false, false, 0, 0});
   index_[id] = lru_.begin();
   return &lru_.front();
 }
 
 Status SlateCache::EvictIfNeededLocked() {
-  while (lru_.size() > options_.capacity) {
-    Entry& victim = lru_.back();
+  // Walk from the LRU end, skipping pinned entries: dropping one would let
+  // a miss read the store before the in-flight write lands.
+  auto it = lru_.end();
+  while (lru_.size() > options_.capacity && it != lru_.begin()) {
+    --it;
+    if (it->pins > 0) continue;
+    Entry& victim = *it;
     if (victim.dirty) {
       DirtySlate out{victim.id, victim.value, /*deleted=*/false};
       Status s = write_back_(out);
@@ -39,7 +44,7 @@ Status SlateCache::EvictIfNeededLocked() {
       }
     }
     index_.erase(victim.id);
-    lru_.pop_back();
+    it = lru_.erase(it);
     evictions_.Add();
   }
   return Status::OK();
@@ -94,17 +99,22 @@ Status SlateCache::Update(const SlateId& id, BytesView value, Timestamp now,
     Entry* e = UpsertLocked(id);
     e->value.assign(value);
     e->absent = false;
-    if (write_through) {
+    // An older write still in flight may land after this one, so a pinned
+    // slate stays dirty and a later flush rewrites it.
+    if (write_through && e->pins == 0) {
       e->dirty = false;
       e->dirty_since = 0;
     } else {
       if (!e->dirty) e->dirty_since = now;
       e->dirty = true;
     }
+    if (write_through) ++e->pins;
     MUPPET_RETURN_IF_ERROR(EvictIfNeededLocked());
   }
   if (write_through) {
-    return write_back_(DirtySlate{id, Bytes(value), /*deleted=*/false});
+    Status s = write_back_(DirtySlate{id, Bytes(value), /*deleted=*/false});
+    Unpin(id);
+    return s;
   }
   return Status::OK();
 }
@@ -119,9 +129,20 @@ Status SlateCache::Delete(const SlateId& id) {
       it->second->value.clear();
       it->second->absent = true;
       it->second->dirty = false;
+      ++it->second->pins;
     }
   }
-  return write_back_(DirtySlate{id, Bytes(), /*deleted=*/true});
+  Status s = write_back_(DirtySlate{id, Bytes(), /*deleted=*/true});
+  Unpin(id);
+  return s;
+}
+
+void SlateCache::Unpin(const SlateId& id) {
+  MutexLock lock(mutex_);
+  auto it = index_.find(id);
+  if (it == index_.end() || it->second->pins == 0) return;
+  --it->second->pins;
+  (void)EvictIfNeededLocked();
 }
 
 Result<int> SlateCache::FlushDirty(Timestamp dirty_before) {
@@ -144,6 +165,8 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
             Pending{DirtySlate{e.id, e.value, false}, e.dirty_since});
         e.dirty = false;
         e.dirty_since = 0;
+        // Written outside the lock: pinned until the write returns.
+        ++e.pins;
       }
     }
   }
@@ -153,6 +176,7 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
     Status s = write_back_(p.slate);
     if (s.ok()) {
       ++flushed;
+      Unpin(p.slate.id);
       continue;
     }
     if (first_error.ok()) first_error = s;
@@ -160,12 +184,15 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
     // not be silently dropped — re-mark the entry dirty so a later flush
     // retries. If the slate was updated again meanwhile it is already
     // dirty and this is a no-op.
-    MutexLock lock(mutex_);
-    auto it = index_.find(p.slate.id);
-    if (it != index_.end() && !it->second->dirty && !it->second->absent) {
-      it->second->dirty = true;
-      it->second->dirty_since = p.dirty_since;
+    {
+      MutexLock lock(mutex_);
+      auto it = index_.find(p.slate.id);
+      if (it != index_.end() && !it->second->dirty && !it->second->absent) {
+        it->second->dirty = true;
+        it->second->dirty_since = p.dirty_since;
+      }
     }
+    Unpin(p.slate.id);
   }
   if (!first_error.ok()) return first_error;
   return flushed;

@@ -103,13 +103,18 @@ class SlateCache {
     bool dirty = false;
     bool absent = false;  // negative entry: store has nothing
     Timestamp dirty_since = 0;
+    // Write-backs of this entry running outside mutex_. A pinned entry is
+    // never evicted: until the write lands, the store holds an older value.
+    int pins = 0;
   };
   using LruList = std::list<Entry>;
 
-  // Evict LRU entries beyond capacity, writing dirty ones back. The
-  // write-back runs under mutex_, which is why the cache sits above the
-  // store in the lock hierarchy.
+  // Evict unpinned LRU entries beyond capacity, writing dirty ones back.
+  // The write-back runs under mutex_, which is why the cache sits above
+  // the store in the lock hierarchy.
   Status EvictIfNeededLocked() MUPPET_REQUIRES(mutex_);
+  // Release one pin taken before an unlocked write-back of `id`.
+  void Unpin(const SlateId& id) MUPPET_EXCLUDES(mutex_);
   // Insert or update; requires mutex_ held. Returns the entry.
   Entry* UpsertLocked(const SlateId& id) MUPPET_REQUIRES(mutex_);
 

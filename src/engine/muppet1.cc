@@ -1,9 +1,10 @@
 #include "engine/muppet1.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
-#include "common/version.h"
 #include "engine/wire.h"
 
 namespace muppet {
@@ -173,107 +174,23 @@ Status TaskProcessor::Process(BytesView request, Bytes* response) {
 }  // namespace engine_internal
 
 Muppet1Engine::Muppet1Engine(const AppConfig& config, EngineOptions options)
-    : config_(config),
-      options_(options),
-      clock_(options.clock != nullptr ? options.clock
-                                      : SystemClock::Default()),
-      transport_([&] {
-        TransportOptions t = options.transport;
-        if (t.clock == nullptr) t.clock = options.clock;
-        // Settle fault-injection deliveries that bypass the synchronous
-        // send path: late losses debit the in-flight count, duplicate
-        // copies pre-charge it, so Drain() stays balanced under chaos.
-        if (t.on_async_loss == nullptr) {
-          t.on_async_loss = [this](int64_t n) {
-            lost_failure_->Add(n);
-            DecInflight(n);
-          };
-        }
-        if (t.on_extra_delivery == nullptr) {
-          t.on_extra_delivery = [this](int64_t n) {
-            inflight_.fetch_add(n, std::memory_order_acq_rel);
-          };
-        }
-        return t;
-      }()),
-      ring_(options.ring_vnodes, options.ring_seed),
-      throttle_(options.throttle, clock_),
-      incident_log_(options.watchdog.incident_capacity),
-      published_(metrics_.GetCounter("muppet_events_published_total")),
-      processed_(metrics_.GetCounter("muppet_events_processed_total")),
-      emitted_(metrics_.GetCounter("muppet_events_emitted_total")),
-      lost_failure_(metrics_.GetCounter("muppet_events_lost_failure_total")),
-      dropped_overflow_(
-          metrics_.GetCounter("muppet_events_dropped_overflow_total")),
-      redirected_overflow_(
-          metrics_.GetCounter("muppet_events_redirected_overflow_total")),
-      deadlocks_avoided_(
-          metrics_.GetCounter("muppet_deadlocks_avoided_total")),
-      store_reads_(metrics_.GetCounter("muppet_slate_store_reads_total")),
-      store_writes_(metrics_.GetCounter("muppet_slate_store_writes_total")),
-      operator_instances_(
-          metrics_.GetCounter("muppet_operator_instances_total")),
-      slatelog_appends_(
-          metrics_.GetCounter("muppet_slatelog_appends_total")),
-      slatelog_replays_(
-          metrics_.GetCounter("muppet_slatelog_replays_total")),
-      slatelog_replayed_(
-          metrics_.GetCounter("muppet_slatelog_replayed_records_total")),
-      slatelog_torn_tails_(
-          metrics_.GetCounter("muppet_slatelog_torn_tails_total")),
-      slatelog_corrupt_segments_(metrics_.GetCounter(
-          "muppet_slatelog_corrupt_segments_total")),
-      checkpoints_(metrics_.GetCounter("muppet_checkpoints_total")),
-      deduped_(metrics_.GetCounter("muppet_events_deduped_total")),
-      latency_(metrics_.GetHistogram("muppet_e2e_latency_us")) {}
+    : EngineRuntime(config, std::move(options), "muppet1") {}
 
 Muppet1Engine::~Muppet1Engine() { (void)Stop(); }
 
 Status Muppet1Engine::Start() {
-  if (started_) return Status::FailedPrecondition("engine already started");
-  MUPPET_RETURN_IF_ERROR(config_.Validate());
-  if (options_.num_machines < 1 || options_.workers_per_function < 1) {
-    return Status::InvalidArgument("engine: bad cluster shape");
-  }
-  if (options_.overflow.policy == OverflowPolicy::kOverflowStream) {
-    if (!config_.HasStream(options_.overflow.overflow_stream)) {
-      return Status::InvalidArgument(
-          "engine: overflow stream is not declared");
-    }
-  }
-  if (durable() && options_.durability.dir.empty()) {
+  MUPPET_RETURN_IF_ERROR(CheckStartable(options_.workers_per_function));
+  if (options_.transport_backend != nullptr ||
+      !options_.hosted_machines.empty()) {
     return Status::InvalidArgument(
-        "engine: durability requires a changelog directory "
-        "(EngineOptions::durability.dir)");
+        "muppet1: multi-process deployment is Muppet 2.0 only");
   }
 
   for (int m = 0; m < options_.num_machines; ++m) {
     auto machine = std::make_unique<MachineCtx>();
     machine->id = m;
-    if (options_.trace.enabled && options_.trace.sample_period != 0) {
-      TraceSink::Options trace_options;
-      trace_options.recent_capacity = options_.trace.recent_traces;
-      trace_options.slowest_capacity = options_.trace.slowest_traces;
-      machine->trace_sink = std::make_unique<TraceSink>(trace_options);
-    }
-    if (durable()) {
-      SlateChangelog::Options log_options;
-      log_options.sync_every_records =
-          exactly_once() ? 1 : options_.durability.sync_every_records;
-      machine->changelog = std::make_unique<SlateChangelog>(
-          options_.durability.dir, static_cast<uint64_t>(m), log_options);
-      MUPPET_RETURN_IF_ERROR(machine->changelog->Open());
-      if (exactly_once()) {
-        machine->dedup =
-            std::make_unique<DedupTable>(options_.durability.dedup_capacity);
-      }
-    }
+    MUPPET_RETURN_IF_ERROR(InitMachine(machine.get()));
     machines_.push_back(std::move(machine));
-  }
-
-  for (const std::string& sid : config_.InputStreams()) {
-    stream_published_[sid] = metrics_.GetCounter(
-        "muppet_stream_published_total", {{"stream", sid}});
   }
 
   // Heat observation for the /statusz hot-key panel. Muppet 1.0 runs no
@@ -307,7 +224,7 @@ Status Muppet1Engine::Start() {
   for (const auto& [name, spec] : config_.operators()) {
     for (int i = 0; i < options_.workers_per_function; ++i) {
       const MachineId machine_id = i % options_.num_machines;
-      MachineCtx* machine = machines_[static_cast<size_t>(machine_id)].get();
+      MachineCtx* machine = Ctx(machine_id);
 
       auto worker = std::make_unique<Worker>();
       worker->function = name;
@@ -326,163 +243,39 @@ Status Muppet1Engine::Start() {
             1, options_.slate_cache_capacity /
                    std::max(1, updater_workers[static_cast<size_t>(
                                    machine_id)]));
-        worker->cache = std::make_unique<SlateCache>(
-            SlateCacheOptions{share},
-            MakeWriteBack(name, spec.updater_options.slate_ttl_micros));
+        worker->cache = std::make_unique<SlateCache>(SlateCacheOptions{share},
+                                                     MakeWriteBack());
+        machine->caches.push_back(CacheSlot{worker->cache.get(), &spec});
       }
       ring_.AddWorker(name, worker->ref);
+      WorkerSlot slot;
+      slot.queue = worker->queue.get();
+      slot.labels = {{"operator", name},
+                     {"slot", std::to_string(worker->ref.slot)}};
+      machine->slots.push_back(std::move(slot));
       machine->workers.push_back(worker.get());
       machine->by_slot[{name, worker->ref.slot}] = worker.get();
       workers_.push_back(std::move(worker));
     }
   }
 
-  RegisterCallbackMetrics();
-
   for (auto& machine : machines_) {
     const MachineId id = machine->id;
-    MUPPET_RETURN_IF_ERROR(transport_.RegisterMachine(
+    MUPPET_RETURN_IF_ERROR(transport_->RegisterMachine(
         id, [this, id](MachineId /*from*/, BytesView payload) {
           return HandleIncoming(id, payload);
         }));
   }
-
-  // Failure broadcast: every machine keeps its own failed list (§4.3).
-  master_.AddListener([this](MachineId failed) {
-    for (auto& machine : machines_) {
-      MutexLock lock(machine->failed_mutex);
-      machine->failed.insert(failed);
-    }
-  });
-  master_.AddRecoveryListener([this](MachineId recovered) {
-    for (auto& machine : machines_) {
-      MutexLock lock(machine->failed_mutex);
-      machine->failed.erase(recovered);
-    }
-  });
-
-  // Cold-start replay (warm process restart in a durable mode): re-home
-  // every machine's logged slates into their owning workers' caches
-  // before any conductor runs.
-  if (durable()) {
-    for (auto& machine : machines_) {
-      MUPPET_RETURN_IF_ERROR(ReplayChangelog(machine.get()));
-    }
-  }
-
-  // Health & SLO plane (DESIGN.md §14): the tracker shares the engine
-  // registry so /sloz and /metrics read the same cells; incidents dump
-  // flight-recorder artifacts on the chaos artifact path.
-  slo_ = std::make_unique<SloTracker>(options_.slo, &metrics_, clock_);
-  incident_log_.SetDumpHook([this](const Incident& incident) {
-    std::vector<TraceSink*> sinks;
-    for (const auto& m : machines_) sinks.push_back(m->trace_sink.get());
-    (void)DumpWatchdogArtifacts("muppet1", incident, sinks, &metrics_);
-  });
-
-  // Spin up conductors and per-machine flushers.
-  for (auto& worker : workers_) {
-    Worker* w = worker.get();
-    w->thread = std::thread([this, w] { ConductorLoop(w); });
-  }
-  for (auto& machine : machines_) {
-    MachineCtx* m = machine.get();
-    m->flusher = std::thread([this, m] { FlusherLoop(m); });
-  }
-  if (options_.watchdog.enabled) {
-    watchdog_ = std::make_unique<Watchdog>(options_.watchdog, &incident_log_);
-    wd_thread_ = std::thread([this] { WatchdogLoop(); });
-  }
-
-  started_at_.store(clock_->Now(), std::memory_order_release);
-  started_ = true;
-  return Status::OK();
-}
-
-SlateCache::WriteBack Muppet1Engine::MakeWriteBack(const std::string& updater,
-                                                   Timestamp ttl) {
-  return [this, updater, ttl](const SlateCache::DirtySlate& dirty) -> Status {
-    if (options_.slate_store == nullptr) return Status::OK();
-    store_writes_->Add();
-    if (dirty.deleted) {
-      return options_.slate_store->Delete(dirty.id);
-    }
-    return options_.slate_store->Write(dirty.id, dirty.value, ttl);
-  };
-}
-
-std::set<MachineId> Muppet1Engine::FailedSetFor(MachineId machine) const {
-  if (machine >= 0 &&
-      machine < static_cast<MachineId>(machines_.size())) {
-    const MachineCtx* m = machines_[static_cast<size_t>(machine)].get();
-    MutexLock lock(m->failed_mutex);
-    return m->failed;
-  }
-  return master_.failed();
-}
-
-void Muppet1Engine::TapStream(const std::string& stream,
-                              std::function<void(const Event&)> tap) {
-  WriterMutexLock lock(taps_mutex_);
-  taps_[stream].push_back(std::move(tap));
-}
-
-void Muppet1Engine::RunTaps(const Event& event) {
-  ReaderMutexLock lock(taps_mutex_);
-  auto it = taps_.find(event.stream);
-  if (it == taps_.end()) return;
-  for (const auto& tap : it->second) tap(event);
+  return Launch();
 }
 
 Status Muppet1Engine::Publish(const std::string& stream, BytesView key,
                               BytesView value, Timestamp ts) {
-  if (!started_ || stopped_) {
-    return Status::FailedPrecondition("engine not running");
-  }
-  if (!config_.IsInputStream(stream)) {
-    return Status::InvalidArgument("'" + stream +
-                                   "' is not a declared input stream");
-  }
-  if (options_.overflow.policy == OverflowPolicy::kThrottle) {
-    // Source throttling (§5): safe because nothing emits into input
-    // streams, so slowing here cannot deadlock the workflow.
-    throttle_.PaceSource();
-  }
   Event event;
-  event.stream = stream;
-  event.ts = ts;
-  event.key.assign(key);
-  event.value.assign(value);
-  event.seq = NextSeq();
-  event.origin_ts = clock_->Now();
-  published_->Add();
-  auto sp = stream_published_.find(stream);
-  if (sp != stream_published_.end()) sp->second->Add();
-
-  // Deterministic sampling: the decision is a pure function of the key,
-  // so a chaos replay of the same workload traces the same events.
-  if (options_.trace.enabled &&
-      TraceSampled(Fnv1a64(event.key), options_.trace.sample_period)) {
-    event.trace.trace_id = MakeTraceId(Fnv1a64(event.key), event.seq);
-    TraceSink* sink = SinkFor(0);
-    if (sink != nullptr) {
-      // Root span: the external publish itself (machine 0 plays the
-      // paper's M0 and accepts all external events).
-      Span root;
-      root.trace_id = event.trace.trace_id;
-      root.span_id = NextSpanId();
-      root.kind = SpanKind::kPublish;
-      root.machine = 0;
-      root.name = stream;
-      root.start_us = event.origin_ts;
-      root.end_us = clock_->Now();
-      event.trace.parent_span = root.span_id;
-      sink->Record(std::move(root));
-    }
-  }
+  MUPPET_RETURN_IF_ERROR(MakeExternalEvent(stream, key, value, ts, &event));
   // The paper's special mapper M0 reads the input stream on one machine
   // and hashes events out to workers (§4.1); machine 0 plays that role.
-  DeliverEvent(/*from=*/0, /*sender=*/nullptr, event);
+  DeliverEvent(publish_machine_, /*sender=*/nullptr, event);
   return Status::OK();
 }
 
@@ -540,7 +333,7 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
   while (true) {
     inflight_.fetch_add(1, std::memory_order_acq_rel);
     Status s =
-        transport_.Send(from, target.value().machine, payload, signature);
+        transport_->Send(from, target.value().machine, payload, signature);
     if (s.ok()) return;
     DecInflight(1);
 
@@ -596,7 +389,7 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
 }
 
 Status Muppet1Engine::HandleIncoming(MachineId to, BytesView payload) {
-  MachineCtx* machine = machines_[static_cast<size_t>(to)].get();
+  MachineCtx* machine = Ctx(to);
   if (machine->crashed.load()) {
     return Status::Unavailable("machine crashed");
   }
@@ -660,37 +453,6 @@ void Muppet1Engine::ConductorLoop(Worker* worker) {
   }
 }
 
-Status Muppet1Engine::FetchSlateForWorker(Worker* worker, BytesView key,
-                                          Bytes* slate,
-                                          const char** source) {
-  const SlateId id{worker->function, Bytes(key)};
-  bool absent = false;
-  Status s = worker->cache->LookupWithAbsent(id, slate, &absent);
-  if (s.ok()) {
-    if (source != nullptr) *source = absent ? "absent_cached" : "hit";
-    if (absent) return Status::NotFound("slate absent (cached)");
-    return Status::OK();
-  }
-  // Cache miss: fetch from the durable store (§4.2).
-  if (options_.slate_store != nullptr) {
-    store_reads_->Add();
-    Result<Bytes> fetched = options_.slate_store->Read(id);
-    if (fetched.ok()) {
-      if (source != nullptr) *source = "store";
-      *slate = std::move(fetched).value();
-      (void)worker->cache->Insert(id, *slate);
-      return Status::OK();
-    }
-    if (!fetched.status().IsNotFound()) return fetched.status();
-  }
-  // Nowhere: "Muppet initializes a new slate in the cache" — we model the
-  // fresh slate as a negative entry so the updater sees nullptr and
-  // initializes its variables (§3).
-  if (source != nullptr) *source = "store_absent";
-  worker->cache->InsertAbsent(id);
-  return Status::NotFound("slate absent");
-}
-
 Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
                                  uint64_t dedup) {
   // Execution span: covers the slate fetch, the task-processor round
@@ -714,7 +476,8 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
                 TraceContext{event.trace.trace_id, exec.span_id()},
                 SpanKind::kSlateFetch, worker->ref.machine,
                 worker->function);
-    Status s = FetchSlateForWorker(worker, event.key, &slate, &fetch_source);
+    Status s = FetchFromCache(worker->cache.get(), worker->function,
+                              event.key, &slate, &fetch_source);
     if (fetch_source != nullptr) fetch.set_note(fetch_source);
     fetch.End();
     if (s.ok()) {
@@ -733,8 +496,12 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
   MUPPET_RETURN_IF_ERROR(
       engine_internal::TaskProcessor::DecodeResponse(response, &decoded));
 
-  MachineCtx* machine =
-      machines_[static_cast<size_t>(worker->ref.machine)].get();
+  MachineCtx* machine = Ctx(worker->ref.machine);
+  // Changelog records carry the (function, key) work hash.
+  const uint64_t work =
+      machine->changelog != nullptr
+          ? HashCombine(Fnv1a64(worker->function), Fnv1a64(event.key))
+          : 0;
   if (worker->kind == OperatorKind::kUpdater) {
     const SlateId id{worker->function, event.key};
     if (decoded.slate_action == 1) {
@@ -743,20 +510,20 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
       MUPPET_RETURN_IF_ERROR(worker->cache->Update(
           id, decoded.slate, clock_->Now(), write_through));
       AppendSlateLog(machine, SlateLogKind::kUpdate, worker->function,
-                     event.key, decoded.slate, event, dedup);
+                     event.key, decoded.slate, event, work, dedup);
     } else if (decoded.slate_action == 2) {
       MUPPET_RETURN_IF_ERROR(worker->cache->Delete(id));
       AppendSlateLog(machine, SlateLogKind::kDelete, worker->function,
-                     event.key, BytesView(), event, dedup);
+                     event.key, BytesView(), event, work, dedup);
     } else if (dedup != 0 && machine->changelog != nullptr) {
       // No slate effect, but the processed identity must survive into
       // replay seeding (exactly-once epoch cut).
       AppendSlateLog(machine, SlateLogKind::kMark, worker->function,
-                     event.key, BytesView(), event, dedup);
+                     event.key, BytesView(), event, work, dedup);
     }
   } else if (dedup != 0 && machine->changelog != nullptr) {
     AppendSlateLog(machine, SlateLogKind::kMark, worker->function, event.key,
-                   BytesView(), event, dedup);
+                   BytesView(), event, work, dedup);
   }
 
   for (Event& out : decoded.outputs) {
@@ -778,229 +545,6 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
   return Status::OK();
 }
 
-void Muppet1Engine::FlusherLoop(MachineCtx* machine) {
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    clock_->SleepFor(options_.flush_poll_micros);
-    if (machine->crashed.load()) return;
-    const Timestamp now = clock_->Now();
-    for (Worker* worker : machine->workers) {
-      if (worker->cache == nullptr) continue;
-      if (worker->updater_options.flush_policy != SlateFlushPolicy::kInterval) {
-        continue;
-      }
-      (void)worker->cache->FlushDirty(
-          now - worker->updater_options.flush_interval_micros);
-    }
-    if (machine->changelog != nullptr) MaybeCheckpoint(machine);
-  }
-}
-
-void Muppet1Engine::AppendSlateLog(MachineCtx* machine, SlateLogKind kind,
-                                   const std::string& updater, BytesView key,
-                                   BytesView value, const Event& event,
-                                   uint64_t dedup) {
-  if (machine->changelog == nullptr) return;
-  SlateLogRecord rec;
-  rec.kind = static_cast<uint8_t>(kind);
-  rec.updater = updater;
-  rec.key.assign(key);
-  rec.value.assign(value);
-  rec.ts = event.ts;
-  rec.seq = event.seq;
-  rec.work = HashCombine(Fnv1a64(updater), Fnv1a64(key));
-  rec.dedup = dedup;
-  Result<uint64_t> lsn = machine->changelog->Append(std::move(rec));
-  if (!lsn.ok()) {
-    MUPPET_LOG(kError) << "slatelog: append failed on machine "
-                       << machine->id << ": " << lsn.status().ToString();
-    return;
-  }
-  slatelog_appends_->Add();
-  machine->appends_since_checkpoint.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void Muppet1Engine::MaybeCheckpoint(MachineCtx* machine) {
-  // Bound the at-least-once loss window across workload pauses.
-  (void)machine->changelog->Sync();
-
-  const uint64_t every = options_.durability.checkpoint_every_records;
-  if (every == 0 || options_.slate_store == nullptr) return;
-  if (machine->appends_since_checkpoint.load(std::memory_order_acquire) <
-      every) {
-    return;
-  }
-
-  const uint64_t cut = machine->changelog->last_lsn();
-  machine->appends_since_checkpoint.store(0, std::memory_order_release);
-  // 1.0 scatters the machine's slates over per-worker caches; a
-  // checkpoint flushes them all.
-  for (Worker* worker : machine->workers) {
-    if (worker->cache == nullptr) continue;
-    Result<int> flushed = worker->cache->FlushDirty(INT64_MAX);
-    if (!flushed.ok()) {
-      MUPPET_LOG(kError) << "slatelog: checkpoint flush failed on machine "
-                         << machine->id << ": "
-                         << flushed.status().ToString();
-      return;
-    }
-  }
-
-  (void)machine->changelog->RotateSegment();
-
-  CheckpointManifest manifest;
-  manifest.machine = static_cast<uint64_t>(machine->id);
-  manifest.lsn = cut;
-  manifest.segment = machine->changelog->active_segment();
-  manifest.ts = clock_->Now();
-  Status s = SlateChangelog::WriteManifestFile(options_.durability.dir,
-                                               manifest);
-  if (!s.ok()) {
-    MUPPET_LOG(kError) << "slatelog: manifest write failed on machine "
-                       << machine->id << ": " << s.ToString();
-    return;
-  }
-  machine->manifest_lsn.store(cut, std::memory_order_release);
-
-  Bytes payload;
-  EncodeCheckpointManifest(manifest, &payload);
-  (void)options_.slate_store->cluster()->Put(
-      kCheckpointColumnFamily,
-      "machine-" + std::to_string(machine->id), "manifest", payload);
-
-  (void)machine->changelog->DropSegmentsCoveredBy(cut);
-  checkpoints_->Add();
-}
-
-Status Muppet1Engine::ReplayChangelog(MachineCtx* machine) {
-  if (machine->changelog == nullptr) return Status::OK();
-  CheckpointManifest manifest;
-  MUPPET_RETURN_IF_ERROR(SlateChangelog::ReadManifestFile(
-      options_.durability.dir, static_cast<uint64_t>(machine->id),
-      &manifest));
-  machine->manifest_lsn.store(manifest.lsn, std::memory_order_release);
-
-  // Re-home each logged slate into its owning worker's cache. Routing
-  // uses the steady-state (no-failures) ring view: the records were
-  // written by this machine's workers under stable membership, so their
-  // keys route back to the same slots.
-  const std::set<MachineId> no_failed;
-  const Timestamp now = clock_->Now();
-  const size_t seed_window = options_.durability.replay_seed_window;
-  std::deque<uint64_t> identities;
-  SlateLogReplayStats replay_stats;
-  Status s = SlateChangelog::Replay(
-      options_.durability.dir, static_cast<uint64_t>(machine->id),
-      manifest.lsn,
-      [&](const SlateLogRecord& rec) {
-        if (rec.dedup != 0 && machine->dedup != nullptr) {
-          identities.push_back(rec.dedup);
-          if (identities.size() > seed_window) identities.pop_front();
-        }
-        const SlateLogKind kind = static_cast<SlateLogKind>(rec.kind);
-        if (kind == SlateLogKind::kMark) return;
-        Result<WorkerRef> target =
-            ring_.Route(rec.updater, rec.key, no_failed);
-        if (!target.ok() || target.value().machine != machine->id) return;
-        auto it = machine->by_slot.find({rec.updater, target.value().slot});
-        if (it == machine->by_slot.end() || it->second->cache == nullptr) {
-          return;
-        }
-        if (kind == SlateLogKind::kUpdate) {
-          (void)it->second->cache->Update(SlateId{rec.updater, rec.key},
-                                          rec.value, now,
-                                          /*write_through=*/false);
-        } else {
-          (void)it->second->cache->Delete(SlateId{rec.updater, rec.key});
-        }
-      },
-      &replay_stats);
-  if (!s.ok()) return s;
-
-  if (machine->dedup != nullptr) {
-    for (const uint64_t id : identities) machine->dedup->Seed(id);
-  }
-
-  slatelog_replays_->Add();
-  slatelog_replayed_->Add(static_cast<int64_t>(replay_stats.records));
-  if (replay_stats.truncated_tail) slatelog_torn_tails_->Add();
-  if (replay_stats.corrupt_segments > 0) {
-    slatelog_corrupt_segments_->Add(
-        static_cast<int64_t>(replay_stats.corrupt_segments));
-  }
-  machine->replays.fetch_add(1, std::memory_order_acq_rel);
-  MUPPET_LOG(kInfo) << "slatelog: machine " << machine->id << " replayed "
-                    << replay_stats.records << " records ("
-                    << replay_stats.skipped << " below manifest lsn "
-                    << manifest.lsn << ", torn_tail="
-                    << (replay_stats.truncated_tail ? "yes" : "no")
-                    << ", corrupt_segments=" << replay_stats.corrupt_segments
-                    << ")";
-  return Status::OK();
-}
-
-void Muppet1Engine::DecInflight(int64_t n) {
-  if (n <= 0) return;
-  if (inflight_.fetch_sub(n, std::memory_order_acq_rel) <= n) {
-    // Reached (or crossed) zero: wake Drain(). `<=` rather than `==` so a
-    // batched decrement that skips past zero still notifies. Taking the
-    // mutex orders the notify against a drainer that just checked the
-    // predicate and is about to block.
-    MutexLock lock(drain_mutex_);
-    drain_cv_.NotifyAll();
-  }
-}
-
-Status Muppet1Engine::Drain() {
-  if (!started_) return Status::FailedPrecondition("engine not started");
-  drain_waiters_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    MutexLock lock(drain_mutex_);
-    while (inflight_.load(std::memory_order_acquire) > 0) {
-      drain_cv_.Wait(drain_mutex_);
-    }
-  }
-  drain_waiters_.fetch_sub(1, std::memory_order_acq_rel);
-  return Status::OK();
-}
-
-Status Muppet1Engine::Stop() {
-  if (!started_ || stopped_) return Status::OK();
-  stopped_ = true;
-
-  // Let in-flight work finish, flush slates, then tear down.
-  (void)Drain();
-  // Final SLO harvest: the engine is drained, so every sampled trace is
-  // complete and can be observed before the sinks are torn down.
-  HarvestSlo();
-  shutdown_.store(true, std::memory_order_release);
-  if (wd_thread_.joinable()) wd_thread_.join();
-  for (auto& machine : machines_) {
-    if (machine->flusher.joinable()) machine->flusher.join();
-  }
-  for (auto& worker : workers_) {
-    if (worker->cache != nullptr && !machines_[static_cast<size_t>(
-                                        worker->ref.machine)]
-                                        ->crashed.load()) {
-      (void)worker->cache->FlushDirty(INT64_MAX);
-    }
-    worker->queue->Stop();
-  }
-  // Graceful shutdown syncs each changelog tail: stop/start in a durable
-  // mode is lossless (only crashes lose the unsynced tail).
-  for (auto& machine : machines_) {
-    if (machine->changelog != nullptr && !machine->crashed.load()) {
-      (void)machine->changelog->Close();
-    }
-  }
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-  for (auto& machine : machines_) {
-    transport_.UnregisterMachine(machine->id);
-  }
-  return Status::OK();
-}
-
 Result<Bytes> Muppet1Engine::FetchSlate(const std::string& updater,
                                         BytesView key) {
   if (!started_) return Status::FailedPrecondition("engine not started");
@@ -1009,193 +553,18 @@ Result<Bytes> Muppet1Engine::FetchSlate(const std::string& updater,
     return Status::NotFound("no such updater: " + updater);
   }
   // §4.4: resolve the owning worker and read its cache (forwarding
-  // "internally" — here, direct access), not the durable store. Machines
-  // this engine instance knows are crashed count as failed even before a
-  // data-path send has detected them.
-  std::set<MachineId> failed = master_.failed();
-  for (const auto& machine : machines_) {
-    if (machine->crashed.load()) failed.insert(machine->id);
-  }
-  Result<WorkerRef> target = ring_.Route(updater, key, failed);
+  // "internally" — here, direct access), not the durable store.
+  Result<WorkerRef> target = ring_.Route(updater, key, UnreachableMachines());
   if (!target.ok()) return target.status();
-  MachineCtx* machine =
-      machines_[static_cast<size_t>(target.value().machine)].get();
+  MachineCtx* machine = Ctx(target.value().machine);
   auto it = machine->by_slot.find({updater, target.value().slot});
   if (it == machine->by_slot.end()) {
     return Status::Internal("ring routed to unknown worker");
   }
-  Worker* worker = it->second;
   Bytes slate;
-  Status s = FetchSlateForWorker(worker, key, &slate);
+  Status s = FetchFromCache(it->second->cache.get(), updater, key, &slate);
   if (!s.ok()) return s;
   return slate;
-}
-
-Status Muppet1Engine::CrashMachine(MachineId machine_id) {
-  if (!started_) return Status::FailedPrecondition("engine not started");
-  if (machine_id < 0 ||
-      machine_id >= static_cast<MachineId>(machines_.size())) {
-    return Status::InvalidArgument("no such machine");
-  }
-  MachineCtx* machine = machines_[static_cast<size_t>(machine_id)].get();
-  if (machine->crashed.exchange(true)) return Status::OK();
-
-  transport_.Crash(machine_id);
-  // Queued events are lost with the machine (§4.3), as are unflushed slate
-  // changes (the caches die with the process).
-  for (Worker* worker : machine->workers) {
-    const size_t lost = worker->queue->Clear();
-    worker->queue->Stop();
-    lost_failure_->Add(static_cast<int64_t>(lost));
-    DecInflight(static_cast<int64_t>(lost));
-  }
-  for (Worker* worker : machine->workers) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-  // The caches die with the machine's processes: unflushed updates lost.
-  for (Worker* worker : machine->workers) {
-    if (worker->cache != nullptr) worker->cache->Clear();
-  }
-  // Durability plane: unsynced changelog appends die with the machine's
-  // memory (the durable prefix stays for replay); the dedup table is
-  // volatile and re-seeded from the changelog at recovery.
-  if (machine->changelog != nullptr) machine->changelog->CrashClose();
-  if (machine->dedup != nullptr) machine->dedup->Clear();
-  return Status::OK();
-}
-
-Status Muppet1Engine::RestartMachine(MachineId machine_id) {
-  if (!started_) return Status::FailedPrecondition("engine not started");
-  if (machine_id < 0 ||
-      machine_id >= static_cast<MachineId>(machines_.size())) {
-    return Status::InvalidArgument("no such machine");
-  }
-  MachineCtx* machine = machines_[static_cast<size_t>(machine_id)].get();
-  if (!machine->crashed.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("machine not crashed");
-  }
-
-  // Recovery ordering (Master::ClearFailure doc): the machine stays
-  // unroutable until its slates are restored.
-  (void)master_.BeginRecovery(machine_id);
-
-  // FlusherLoop exits once it observes crashed; the conductor threads were
-  // joined by CrashMachine. Join the flusher before respawning either.
-  if (machine->flusher.joinable()) machine->flusher.join();
-
-  // Restore durable state before any traffic can reach the machine.
-  if (machine->changelog != nullptr) {
-    MUPPET_RETURN_IF_ERROR(machine->changelog->Open());
-    MUPPET_RETURN_IF_ERROR(ReplayChangelog(machine));
-  }
-
-  for (Worker* worker : machine->workers) {
-    worker->queue->Restart();
-  }
-  machine->crashed.store(false, std::memory_order_release);
-  for (Worker* worker : machine->workers) {
-    worker->thread = std::thread([this, worker] { ConductorLoop(worker); });
-  }
-  machine->flusher =
-      std::thread([this, machine] { FlusherLoop(machine); });
-  transport_.Restore(machine_id);
-  master_.ClearFailure(machine_id);
-  return Status::OK();
-}
-
-EngineStats Muppet1Engine::Stats() const {
-  EngineStats stats;
-  stats.events_published = published_->Get();
-  stats.events_processed = processed_->Get();
-  stats.events_emitted = emitted_->Get();
-  stats.events_lost_failure = lost_failure_->Get();
-  stats.events_dropped_overflow = dropped_overflow_->Get();
-  stats.events_redirected_overflow = redirected_overflow_->Get();
-  stats.throttle_signals = throttle_.overflow_signals();
-  stats.deadlocks_avoided = deadlocks_avoided_->Get();
-  for (const auto& worker : workers_) {
-    if (worker->cache != nullptr) {
-      stats.slate_cache_hits += worker->cache->hits();
-      stats.slate_cache_misses += worker->cache->misses();
-      stats.slate_cache_evictions += worker->cache->evictions();
-    }
-  }
-  stats.slate_store_reads = store_reads_->Get();
-  stats.slate_store_writes = store_writes_->Get();
-  stats.failures_detected = master_.failures_reported();
-  stats.slatelog_appends = slatelog_appends_->Get();
-  for (const auto& machine : machines_) {
-    if (machine->changelog != nullptr) {
-      stats.slatelog_synced_records +=
-          static_cast<int64_t>(machine->changelog->synced_lsn());
-    }
-  }
-  stats.slatelog_replays = slatelog_replays_->Get();
-  stats.slatelog_replayed_records = slatelog_replayed_->Get();
-  stats.slatelog_torn_tails = slatelog_torn_tails_->Get();
-  stats.slatelog_corrupt_segments = slatelog_corrupt_segments_->Get();
-  stats.checkpoints = checkpoints_->Get();
-  stats.events_deduped = deduped_->Get();
-  stats.transport_messages_sent = transport_.messages_sent();
-  stats.transport_messages_local = transport_.messages_local();
-  stats.transport_frames_sent = transport_.frames_sent();
-  stats.transport_bytes_sent = transport_.bytes_sent();
-  stats.faults_dropped = transport_.messages_dropped();
-  stats.faults_duplicated = transport_.messages_duplicated();
-  stats.faults_held = transport_.messages_held();
-  stats.latency_p50_us = latency_->Percentile(0.50);
-  stats.latency_p95_us = latency_->Percentile(0.95);
-  stats.latency_p99_us = latency_->Percentile(0.99);
-  stats.latency_p999_us = latency_->Percentile(0.999);
-  stats.latency_max_us = latency_->max();
-  stats.latency_mean_us = latency_->Mean();
-  stats.operator_instances = operator_instances_->Get();
-  return stats;
-}
-
-std::vector<MachineStatus> Muppet1Engine::MachineStatuses() const {
-  std::vector<MachineStatus> out;
-  if (!started_) return out;
-  for (const auto& machine : machines_) {
-    MachineStatus ms;
-    ms.machine = machine->id;
-    ms.crashed = machine->crashed.load(std::memory_order_acquire);
-    ms.recovering = master_.IsRecovering(machine->id);
-    for (const Worker* worker : machine->workers) {
-      ms.queue_depths.push_back(worker->queue->size());
-      // 1.0 scatters the machine's slate cache across its updater
-      // workers; report the machine-level aggregate.
-      if (worker->cache != nullptr) {
-        ms.slate_cache_slates += worker->cache->size();
-        ms.slate_cache_capacity += worker->cache->capacity();
-      }
-    }
-    ms.queue_capacity = options_.queue_capacity;
-    {
-      MutexLock lock(machine->failed_mutex);
-      ms.known_failed.assign(machine->failed.begin(), machine->failed.end());
-    }
-    for (const std::string& function : ring_.Functions()) {
-      auto counts = ring_.OwnershipCounts(function);
-      auto it = counts.find(machine->id);
-      if (it != counts.end()) ms.ring_ownership[function] = it->second;
-    }
-    ms.consistency = ConsistencyName(options_.durability.consistency);
-    if (machine->changelog != nullptr) {
-      ms.slatelog_lsn = machine->changelog->last_lsn();
-      ms.slatelog_synced_lsn = machine->changelog->synced_lsn();
-      ms.slatelog_segments = machine->changelog->segment_count();
-      ms.manifest_lsn =
-          machine->manifest_lsn.load(std::memory_order_acquire);
-      ms.replays = machine->replays.load(std::memory_order_acquire);
-    }
-    if (machine->dedup != nullptr) {
-      ms.dedup_entries = machine->dedup->size();
-      ms.dedup_capacity = machine->dedup->capacity();
-    }
-    out.push_back(std::move(ms));
-  }
-  return out;
 }
 
 std::vector<HotKeyInfo> Muppet1Engine::HotKeys() const {
@@ -1215,217 +584,25 @@ std::vector<HotKeyInfo> Muppet1Engine::HotKeys() const {
   return out;
 }
 
-void Muppet1Engine::HarvestSlo() {
-  if (slo_ == nullptr) return;
-  std::vector<TraceSink*> sinks;
-  sinks.reserve(machines_.size());
-  for (const auto& machine : machines_) {
-    sinks.push_back(machine->trace_sink.get());
-  }
-  slo_->Harvest(sinks, clock_->Now(),
-                inflight_.load(std::memory_order_acquire) == 0);
+void Muppet1Engine::WorkerLoop(MachineBase* machine, size_t slot) {
+  ConductorLoop(static_cast<MachineCtx*>(machine)->workers[slot]);
 }
 
-Timestamp Muppet1Engine::UptimeMicros() const {
-  const Timestamp started = started_at_.load(std::memory_order_acquire);
-  if (started == 0 && !started_.load(std::memory_order_acquire)) return 0;
-  return clock_->Now() - started;
+SlateCache* Muppet1Engine::ReplayCacheFor(MachineBase* machine,
+                                          const SlateLogRecord& rec) {
+  Result<WorkerRef> target =
+      ring_.Route(rec.updater, rec.key, std::set<MachineId>());
+  if (!target.ok() || target.value().machine != machine->id) return nullptr;
+  const MachineCtx* ctx = static_cast<MachineCtx*>(machine);
+  auto it = ctx->by_slot.find({rec.updater, target.value().slot});
+  return it == ctx->by_slot.end() ? nullptr : it->second->cache.get();
 }
 
-WatchdogSignals Muppet1Engine::GatherWatchdogSignals() const {
-  WatchdogSignals signals;
-  signals.now = clock_->Now();
-  for (const auto& machine : machines_) {
-    WatchdogSignals::Machine m;
-    m.machine = machine->id;
-    m.crashed = machine->crashed.load(std::memory_order_acquire);
-    m.recovering = master_.IsRecovering(machine->id);
-    if (machine->changelog != nullptr) {
-      m.changelog_lsn = machine->changelog->last_lsn();
-      m.changelog_synced_lsn = machine->changelog->synced_lsn();
-    }
-    signals.machines.push_back(std::move(m));
-    // 1.0 queues are per-worker, not per-thread-slot; index by the
-    // worker's position on its machine so incident details are stable.
-    for (size_t i = 0; i < machine->workers.size(); ++i) {
-      const Worker* worker = machine->workers[i];
-      WatchdogSignals::Queue q;
-      q.machine = machine->id;
-      q.queue_index = static_cast<int32_t>(i);
-      q.depth = worker->queue->size();
-      q.capacity = worker->queue->capacity();
-      q.pops = worker->queue->pops();
-      signals.queues.push_back(q);
-    }
-  }
-  signals.draining = drain_waiters_.load(std::memory_order_acquire) > 0;
-  signals.inflight = inflight_.load(std::memory_order_acquire);
-  return signals;
-}
-
-void Muppet1Engine::WatchdogLoop() {
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    clock_->SleepFor(options_.watchdog.tick_micros);
-    if (shutdown_.load(std::memory_order_acquire)) break;
-    watchdog_->Tick(GatherWatchdogSignals());
-    // Opportunistic SLO harvest on the same cadence, so burn windows
-    // advance and settle without requiring a /sloz scrape.
-    HarvestSlo();
-  }
-}
-
-void Muppet1Engine::RegisterCallbackMetrics() {
-  // Scrape hygiene: a constant-1 gauge whose labels carry the build and
-  // config identity, plus engine uptime — what muppet-doctor keys off to
-  // tell apart machines running different builds or knobs.
-  metrics_.RegisterCallback(
-      "muppet_build_info",
-      {{"version", kMuppetVersion},
-       {"engine", "muppet1"},
-       {"consistency", ConsistencyName(options_.durability.consistency)}},
-      MetricType::kGauge, [] { return 1; });
-  metrics_.RegisterCallback(
-      "muppet_uptime_seconds", {}, MetricType::kGauge,
-      [this] { return UptimeMicros() / kMicrosPerSecond; });
-  // Watchdog incident families (DESIGN.md §14 incident taxonomy).
-  for (int k = 0; k < kNumIncidentKinds; ++k) {
-    const IncidentKind kind = static_cast<IncidentKind>(k);
-    metrics_.RegisterCallback(
-        "muppet_watchdog_incidents_total", {{"kind", IncidentKindName(kind)}},
-        MetricType::kCounter,
-        [this, kind] { return incident_log_.opened(kind); });
-  }
-  metrics_.RegisterCallback(
-      "muppet_watchdog_open_incidents", {}, MetricType::kGauge,
-      [this] { return static_cast<int64_t>(incident_log_.open_count()); });
-
-  // Transport-level counters: owned by the transport, surfaced here so
-  // /metrics carries the datapath and fault-injection counters.
-  metrics_.RegisterCallback(
-      "muppet_transport_messages_sent_total", {}, MetricType::kCounter,
-      [this] { return transport_.messages_sent(); });
-  metrics_.RegisterCallback(
-      "muppet_transport_messages_local_total", {}, MetricType::kCounter,
-      [this] { return transport_.messages_local(); });
-  metrics_.RegisterCallback(
-      "muppet_transport_messages_dropped_total", {}, MetricType::kCounter,
-      [this] { return transport_.messages_dropped(); });
-  metrics_.RegisterCallback(
-      "muppet_transport_messages_declined_total", {}, MetricType::kCounter,
-      [this] { return transport_.messages_declined(); });
-  metrics_.RegisterCallback("muppet_transport_frames_sent_total", {},
-                            MetricType::kCounter,
-                            [this] { return transport_.frames_sent(); });
-  metrics_.RegisterCallback("muppet_transport_bytes_sent_total", {},
-                            MetricType::kCounter,
-                            [this] { return transport_.bytes_sent(); });
-  metrics_.RegisterCallback(
-      "muppet_faults_duplicated_total", {}, MetricType::kCounter,
-      [this] { return transport_.messages_duplicated(); });
-  metrics_.RegisterCallback("muppet_faults_held_total", {},
-                            MetricType::kCounter,
-                            [this] { return transport_.messages_held(); });
-  metrics_.RegisterCallback(
-      "muppet_inflight_events", {}, MetricType::kGauge,
-      [this] { return inflight_.load(std::memory_order_acquire); });
-  // Source-pacing visibility: the delay PaceSource() would apply right
-  // now (decayed overflow pressure, clamped to the adaptive floor).
-  metrics_.RegisterCallback(
-      "muppet_throttle_delay_micros", {}, MetricType::kGauge,
-      [this] { return throttle_.CurrentDelayMicros(); });
+void Muppet1Engine::RegisterEngineMetrics() {
   if (heat_ != nullptr) {
     metrics_.RegisterCallback("muppet_heat_samples_total", {},
                               MetricType::kCounter,
                               [this] { return heat_->samples_recorded(); });
-  }
-
-  for (const auto& machine_ptr : machines_) {
-    MachineCtx* machine = machine_ptr.get();
-    const MetricLabels m_label = {{"machine", std::to_string(machine->id)}};
-    metrics_.RegisterCallback("muppet_machine_up", m_label,
-                              MetricType::kGauge, [machine] {
-                                return machine->crashed.load(
-                                           std::memory_order_acquire)
-                                           ? 0
-                                           : 1;
-                              });
-    // Machine-level aggregates over the per-worker cache partitions.
-    metrics_.RegisterCallback(
-        "muppet_slate_cache_slates", m_label, MetricType::kGauge, [machine] {
-          int64_t total = 0;
-          for (const Worker* w : machine->workers) {
-            if (w->cache != nullptr) {
-              total += static_cast<int64_t>(w->cache->size());
-            }
-          }
-          return total;
-        });
-    metrics_.RegisterCallback(
-        "muppet_slate_cache_capacity", m_label, MetricType::kGauge,
-        [machine] {
-          int64_t total = 0;
-          for (const Worker* w : machine->workers) {
-            if (w->cache != nullptr) {
-              total += static_cast<int64_t>(w->cache->capacity());
-            }
-          }
-          return total;
-        });
-    metrics_.RegisterCallback(
-        "muppet_slate_cache_hits_total", m_label, MetricType::kCounter,
-        [machine] {
-          int64_t total = 0;
-          for (const Worker* w : machine->workers) {
-            if (w->cache != nullptr) total += w->cache->hits();
-          }
-          return total;
-        });
-    metrics_.RegisterCallback(
-        "muppet_slate_cache_misses_total", m_label, MetricType::kCounter,
-        [machine] {
-          int64_t total = 0;
-          for (const Worker* w : machine->workers) {
-            if (w->cache != nullptr) total += w->cache->misses();
-          }
-          return total;
-        });
-    if (machine->changelog != nullptr) {
-      SlateChangelog* log = machine->changelog.get();
-      metrics_.RegisterCallback(
-          "muppet_slatelog_lsn", m_label, MetricType::kGauge,
-          [log] { return static_cast<int64_t>(log->last_lsn()); });
-      metrics_.RegisterCallback(
-          "muppet_slatelog_synced_lsn", m_label, MetricType::kGauge,
-          [log] { return static_cast<int64_t>(log->synced_lsn()); });
-      metrics_.RegisterCallback(
-          "muppet_slatelog_segments", m_label, MetricType::kGauge,
-          [log] { return static_cast<int64_t>(log->segment_count()); });
-      metrics_.RegisterCallback(
-          "muppet_slatelog_manifest_lsn", m_label, MetricType::kGauge,
-          [machine] {
-            return static_cast<int64_t>(
-                machine->manifest_lsn.load(std::memory_order_acquire));
-          });
-      metrics_.RegisterCallback(
-          "muppet_slatelog_machine_replays_total", m_label,
-          MetricType::kCounter, [machine] {
-            return machine->replays.load(std::memory_order_acquire);
-          });
-    }
-    if (machine->dedup != nullptr) {
-      DedupTable* dedup = machine->dedup.get();
-      metrics_.RegisterCallback(
-          "muppet_dedup_entries", m_label, MetricType::kGauge,
-          [dedup] { return static_cast<int64_t>(dedup->size()); });
-    }
-    for (Worker* worker : machine->workers) {
-      MetricLabels q_label = m_label;
-      q_label.emplace_back("operator", worker->function);
-      q_label.emplace_back("slot", std::to_string(worker->ref.slot));
-      metrics_.RegisterCallback(
-          "muppet_queue_depth", q_label, MetricType::kGauge,
-          [worker] { return static_cast<int64_t>(worker->queue->size()); });
-    }
   }
 }
 

@@ -4,12 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 
 #include "common/hash.h"
+#include "common/record_file.h"
 
 namespace muppet {
 
@@ -97,27 +97,12 @@ Status DecodeCheckpointManifest(BytesView data, CheckpointManifest* manifest) {
 // StdioLogDevice.
 // ---------------------------------------------------------------------------
 
-StdioLogDevice::~StdioLogDevice() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
-}
-
 Status StdioLogDevice::Open(const std::string& path) {
-  if (file_ != nullptr) {
-    return Status::FailedPrecondition("slatelog: device already open");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    return Status::IOError("slatelog: open " + path + ": " +
-                           std::strerror(errno));
-  }
-  file_ = f;
-  return Status::OK();
+  return file_.Open(path);
 }
 
 Status StdioLogDevice::Write(BytesView frame) {
-  if (file_ == nullptr) {
+  if (!file_.is_open()) {
     return Status::FailedPrecondition("slatelog: device not open");
   }
   buffer_.append(frame.data(), frame.size());
@@ -125,40 +110,24 @@ Status StdioLogDevice::Write(BytesView frame) {
 }
 
 Status StdioLogDevice::Sync() {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("slatelog: device not open");
-  }
   if (!buffer_.empty()) {
-    if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
-        buffer_.size()) {
-      return Status::IOError("slatelog: short write");
-    }
+    MUPPET_RETURN_IF_ERROR(file_.Write(buffer_));
     buffer_.clear();
   }
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("slatelog: flush failed");
-  }
-  ::fsync(::fileno(file_));
-  return Status::OK();
+  return file_.Sync();
 }
 
 Status StdioLogDevice::Close() {
-  if (file_ == nullptr) return Status::OK();
+  if (!file_.is_open()) return Status::OK();
   Status s = Sync();
-  const int rc = std::fclose(file_);
-  file_ = nullptr;
+  Status closed = file_.Close();
   buffer_.clear();
-  if (!s.ok()) return s;
-  if (rc != 0) return Status::IOError("slatelog: close failed");
-  return Status::OK();
+  return s.ok() ? closed : s;
 }
 
 void StdioLogDevice::CrashClose() {
   buffer_.clear();  // the crash loses everything past the last sync
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  (void)file_.Close();
 }
 
 // ---------------------------------------------------------------------------
@@ -166,9 +135,6 @@ void StdioLogDevice::CrashClose() {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-constexpr uint32_t kFrameHeaderBytes = 8;  // [u32 crc][u32 len]
-constexpr uint32_t kMaxRecordBytes = 64u << 20;
 
 std::string SegmentFileName(uint64_t machine, uint64_t segment) {
   char buf[64];
@@ -222,46 +188,15 @@ std::vector<uint64_t> ListSegments(const std::string& dir, uint64_t machine) {
 bool ScanSegment(const std::string& path,
                  const std::function<void(const SlateLogRecord&)>& cb,
                  uint64_t* clean_end = nullptr) {
-  if (clean_end != nullptr) *clean_end = 0;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return true;  // vanished segment == empty
-  Bytes header(kFrameHeaderBytes, '\0');
-  Bytes payload;
-  bool clean = true;
-  uint64_t offset = 0;
-  while (true) {
-    const size_t got = std::fread(header.data(), 1, kFrameHeaderBytes, f);
-    if (got == 0) break;  // clean EOF
-    if (got < kFrameHeaderBytes) {
-      clean = false;
-      break;
-    }
-    const uint32_t crc = DecodeFixed32(header.data());
-    const uint32_t len = DecodeFixed32(header.data() + 4);
-    if (len > kMaxRecordBytes) {
-      clean = false;
-      break;
-    }
-    payload.resize(len);
-    if (std::fread(payload.data(), 1, len, f) != len) {
-      clean = false;
-      break;
-    }
-    if (Crc32(payload) != crc) {
-      clean = false;
-      break;
-    }
-    SlateLogRecord rec;
-    if (!DecodeSlateLogRecord(payload, &rec).ok()) {
-      clean = false;
-      break;
-    }
-    offset += kFrameHeaderBytes + len;
-    if (clean_end != nullptr) *clean_end = offset;
-    cb(rec);
-  }
-  std::fclose(f);
-  return clean;
+  return record_file::Scan(
+      path,
+      [&cb](BytesView payload) {
+        SlateLogRecord rec;
+        if (!DecodeSlateLogRecord(payload, &rec).ok()) return false;
+        cb(rec);
+        return true;
+      },
+      clean_end);
 }
 
 // Make a directory-entry mutation (segment create/unlink, manifest rename)
@@ -372,13 +307,10 @@ Result<uint64_t> SlateChangelog::Append(SlateLogRecord rec) {
     return Status::FailedPrecondition("slatelog: not open");
   }
   rec.lsn = next_lsn_;
-  Bytes payload;
-  EncodeSlateLogRecord(rec, &payload);
   Bytes frame;
-  frame.reserve(payload.size() + kFrameHeaderBytes);
-  PutFixed32(&frame, Crc32(payload));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
+  const size_t start = record_file::BeginFrame(&frame);
+  EncodeSlateLogRecord(rec, &frame);
+  record_file::SealFrame(&frame, start);
   MUPPET_RETURN_IF_ERROR(device_->Write(frame));
   next_lsn_++;
   segment_max_lsn_[active_segment_] = rec.lsn;
@@ -522,28 +454,20 @@ Status SlateChangelog::Replay(
 
 Status SlateChangelog::WriteManifestFile(const std::string& dir,
                                          const CheckpointManifest& manifest) {
-  Bytes payload;
-  EncodeCheckpointManifest(manifest, &payload);
   Bytes frame;
-  PutFixed32(&frame, Crc32(payload));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
+  const size_t start = record_file::BeginFrame(&frame);
+  EncodeCheckpointManifest(manifest, &frame);
+  record_file::SealFrame(&frame, start);
 
   const std::string path = ManifestPath(dir, manifest.machine);
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("slatelog: open " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  const bool wrote = std::fwrite(frame.data(), 1, frame.size(), f) ==
-                     frame.size();
-  if (std::fflush(f) != 0 || !wrote) {
-    std::fclose(f);
-    return Status::IOError("slatelog: manifest write failed");
-  }
-  ::fsync(::fileno(f));
-  std::fclose(f);
+  record_file::Writer file;
+  MUPPET_RETURN_IF_ERROR(file.Open(tmp, /*truncate=*/true));
+  Status s = file.Write(frame);
+  if (s.ok()) s = file.Sync();
+  const Status closed = file.Close();
+  if (!s.ok()) return s;
+  MUPPET_RETURN_IF_ERROR(closed);
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
@@ -561,29 +485,15 @@ Status SlateChangelog::ReadManifestFile(const std::string& dir,
                                         CheckpointManifest* manifest) {
   *manifest = CheckpointManifest{};
   manifest->machine = machine;
-  const std::string path = ManifestPath(dir, machine);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::OK();  // no checkpoint yet
-  Bytes header(kFrameHeaderBytes, '\0');
-  Status s = Status::OK();
-  if (std::fread(header.data(), 1, kFrameHeaderBytes, f) !=
-      kFrameHeaderBytes) {
-    s = Status::Corruption("slatelog: manifest truncated");
-  } else {
-    const uint32_t crc = DecodeFixed32(header.data());
-    const uint32_t len = DecodeFixed32(header.data() + 4);
-    Bytes payload(len, '\0');
-    if (len > kMaxRecordBytes ||
-        std::fread(payload.data(), 1, len, f) != len ||
-        Crc32(payload) != crc) {
-      s = Status::Corruption("slatelog: manifest corrupt");
-    } else {
-      s = DecodeCheckpointManifest(payload, manifest);
-    }
+  Bytes payload;
+  Status s = record_file::ReadSingle(ManifestPath(dir, machine), &payload);
+  if (s.IsNotFound()) return Status::OK();  // no checkpoint yet
+  if (s.ok()) s = DecodeCheckpointManifest(payload, manifest);
+  if (!s.ok()) {
+    *manifest = CheckpointManifest{};
+    return Status::Corruption("slatelog: manifest corrupt: " + s.ToString());
   }
-  std::fclose(f);
-  if (!s.ok()) *manifest = CheckpointManifest{};
-  return s;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

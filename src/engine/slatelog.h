@@ -3,8 +3,8 @@
 // The paper accepts that "all the slate updates in the memory of the failed
 // machine" are lost on a crash (§4.4). This subsystem closes that hole: every
 // slate update appends an absolute-value `(sid, ts, work_hash, delta)` record
-// to a per-machine changelog (WAL-style `[u32 crc][u32 len][payload]` framing,
-// torn tails tolerated on replay), periodic incremental checkpoints flush
+// to a per-machine changelog (common/record_file framing, torn tails
+// tolerated on replay), periodic incremental checkpoints flush
 // dirty slates into the kvstore and advance a manifest cursor, and recovery
 // replays the changelog suffix past the manifest before the machine rejoins
 // the ring.
@@ -32,6 +32,7 @@
 
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/record_file.h"
 #include "common/status.h"
 #include "common/sync.h"
 
@@ -142,8 +143,6 @@ class LogDevice {
 // loses everything past the last sync.
 class StdioLogDevice : public LogDevice {
  public:
-  ~StdioLogDevice() override;
-
   Status Open(const std::string& path) override;
   Status Write(BytesView frame) override;
   Status Sync() override;
@@ -154,7 +153,7 @@ class StdioLogDevice : public LogDevice {
   void CrashClose();
 
  private:
-  std::FILE* file_ = nullptr;
+  record_file::Writer file_;
   Bytes buffer_;
 };
 

@@ -1,73 +1,37 @@
 #include "kvstore/wal.h"
 
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
-
-#include "common/hash.h"
 
 namespace muppet {
 namespace kv {
 
-WalWriter::~WalWriter() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
-}
-
 Status WalWriter::Open(const std::string& path) {
   MutexLock lock(mutex_);
-  if (file_ != nullptr) {
-    return Status::FailedPrecondition("wal: already open");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    return Status::IOError("wal: open " + path + ": " + std::strerror(errno));
-  }
-  file_ = f;
+  MUPPET_RETURN_IF_ERROR(file_.Open(path));
   path_ = path;
   return Status::OK();
 }
 
 Status WalWriter::Append(const Record& rec, bool sync) {
-  Bytes payload;
-  EncodeRecord(rec, &payload);
-  const uint32_t crc = Crc32(payload);
   Bytes frame;
-  frame.reserve(payload.size() + 8);
-  PutFixed32(&frame, crc);
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
+  const size_t start = record_file::BeginFrame(&frame);
+  EncodeRecord(rec, &frame);
+  record_file::SealFrame(&frame, start);
 
   MutexLock lock(mutex_);
-  if (file_ == nullptr) return Status::FailedPrecondition("wal: not open");
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    return Status::IOError("wal: short write");
-  }
-  if (sync) {
-    if (std::fflush(file_) != 0) return Status::IOError("wal: flush failed");
-    ::fsync(::fileno(file_));
-  }
+  MUPPET_RETURN_IF_ERROR(file_.Write(frame));
+  if (sync) return file_.Sync();
   return Status::OK();
 }
 
 Status WalWriter::Sync() {
   MutexLock lock(mutex_);
-  if (file_ == nullptr) return Status::FailedPrecondition("wal: not open");
-  if (std::fflush(file_) != 0) return Status::IOError("wal: flush failed");
-  ::fsync(::fileno(file_));
-  return Status::OK();
+  return file_.Sync();
 }
 
 Status WalWriter::Close() {
   MutexLock lock(mutex_);
-  if (file_ == nullptr) return Status::OK();
-  const int rc = std::fclose(file_);
-  file_ = nullptr;
-  if (rc != 0) return Status::IOError("wal: close failed");
-  return Status::OK();
+  return file_.Close();
 }
 
 Status WalWriter::CloseAndRemove() {
@@ -81,47 +45,16 @@ Status WalWriter::CloseAndRemove() {
 Status ReplayWal(const std::string& path, std::vector<Record>* records,
                  bool* truncated_tail) {
   records->clear();
-  if (truncated_tail != nullptr) *truncated_tail = false;
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::OK();  // no log -> nothing to replay
-  }
-
-  Bytes header(8, '\0');
-  Bytes payload;
-  while (true) {
-    const size_t got = std::fread(header.data(), 1, 8, f);
-    if (got == 0) break;  // clean EOF
-    if (got < 8) {
-      if (truncated_tail != nullptr) *truncated_tail = true;
-      break;
-    }
-    const uint32_t crc = DecodeFixed32(header.data());
-    const uint32_t len = DecodeFixed32(header.data() + 4);
-    if (len > (64u << 20)) {  // sanity: no 64MB+ records
-      if (truncated_tail != nullptr) *truncated_tail = true;
-      break;
-    }
-    payload.resize(len);
-    if (std::fread(payload.data(), 1, len, f) != len) {
-      if (truncated_tail != nullptr) *truncated_tail = true;
-      break;
-    }
-    if (Crc32(payload) != crc) {
-      if (truncated_tail != nullptr) *truncated_tail = true;
-      break;
-    }
+  // A torn or corrupt frame ends the replay: everything before it is the
+  // log's intact prefix (a torn tail is normal after a crash).
+  const bool clean = record_file::Scan(path, [records](BytesView payload) {
     Record rec;
     const char* p = payload.data();
-    Status s = DecodeRecord(&p, p + payload.size(), &rec);
-    if (!s.ok()) {
-      if (truncated_tail != nullptr) *truncated_tail = true;
-      break;
-    }
+    if (!DecodeRecord(&p, p + payload.size(), &rec).ok()) return false;
     records->push_back(std::move(rec));
-  }
-  std::fclose(f);
+    return true;
+  });
+  if (truncated_tail != nullptr) *truncated_tail = !clean;
   return Status::OK();
 }
 

@@ -1,16 +1,17 @@
 // Write-ahead log. Persists every accepted write before it is acknowledged
 // so that a node restart replays the memtable (paper §4.2: "persistent
 // slates help resuming, restarting, or recovering the application from
-// crashes"). Record framing: [u32 crc][u32 len][payload]; replay stops at
-// the first corrupt/truncated record (a torn tail is normal after a crash).
+// crashes"). Records use the shared common/record_file framing; replay stops
+// at the first corrupt/truncated record (a torn tail is normal after a
+// crash).
 #ifndef MUPPET_KVSTORE_WAL_H_
 #define MUPPET_KVSTORE_WAL_H_
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/record_file.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "kvstore/format.h"
@@ -21,7 +22,6 @@ namespace kv {
 class WalWriter {
  public:
   WalWriter() = default;
-  ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -31,6 +31,7 @@ class WalWriter {
 
   // Append one record. `sync` forces an fflush+fsync (durability at the
   // cost of latency; Muppet favors latency, so the default is buffered).
+  // IOError when the sync fails: the record may not be durable.
   Status Append(const Record& rec, bool sync = false);
 
   Status Sync();
@@ -44,7 +45,7 @@ class WalWriter {
   bool is_open() const MUPPET_NO_THREAD_SAFETY_ANALYSIS {
     // Unsynchronized peek; callers serialize Open/Close externally (the
     // shard holds tables_mutex_ across log rotation).
-    return file_ != nullptr;
+    return file_.is_open();
   }
   const std::string& path() const { return path_; }
 
@@ -52,7 +53,7 @@ class WalWriter {
 
  private:
   Mutex mutex_{kLockLevel};
-  std::FILE* file_ MUPPET_GUARDED_BY(mutex_) = nullptr;
+  record_file::Writer file_ MUPPET_GUARDED_BY(mutex_);
   // muppet-lint: allow(guarded): written only by Open(), stable after
   std::string path_;
 };

@@ -15,13 +15,13 @@
 #ifndef MUPPET_SERVICE_BULK_SLATES_H_
 #define MUPPET_SERVICE_BULK_SLATES_H_
 
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/metrics.h"
+#include "common/record_file.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "core/slate.h"
@@ -59,7 +59,6 @@ class BulkSlateReader {
 class SlateLogger {
  public:
   SlateLogger() = default;
-  ~SlateLogger();
 
   SlateLogger(const SlateLogger&) = delete;
   SlateLogger& operator=(const SlateLogger&) = delete;
@@ -83,7 +82,7 @@ class SlateLogger {
 
  private:
   Mutex mutex_{kLockLevel};
-  std::FILE* file_ MUPPET_GUARDED_BY(mutex_) = nullptr;
+  record_file::Writer file_ MUPPET_GUARDED_BY(mutex_);
   // Counter (not a guarded int) so records_written() stays lock-free for
   // status endpoints while updaters append concurrently.
   Counter records_written_;

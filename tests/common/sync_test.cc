@@ -13,7 +13,6 @@
 #include "core/heat.h"
 #include "core/keysplit.h"
 #include "core/slate_cache.h"
-#include "engine/journal.h"
 #include "engine/master.h"
 #include "engine/muppet2.h"
 #include "engine/queue.h"
@@ -272,7 +271,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(kv::Shard::kTablesLockLevel, LockLevel::kStoreTables);
   EXPECT_EQ(kv::MemTable::kLockLevel, LockLevel::kStoreIo);
   EXPECT_EQ(kv::WalWriter::kLockLevel, LockLevel::kStoreIo);
-  EXPECT_EQ(EventJournal::kLockLevel, LockLevel::kJournal);
   EXPECT_EQ(SlateLogger::kLockLevel, LockLevel::kJournal);
   EXPECT_EQ(DedupTable::kLockLevel, LockLevel::kDedupTable);
   EXPECT_EQ(SlateChangelog::kLockLevel, LockLevel::kSlateChangelog);

@@ -1,6 +1,9 @@
 #include "core/slate_cache.h"
 
+#include <atomic>
 #include <map>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -173,6 +176,53 @@ TEST(SlateCacheTest, CapacityOneWorks) {
   EXPECT_EQ(cache.evictions(), 19);
   // All evicted values reached the store.
   EXPECT_EQ(sink.store.size(), 19u);
+}
+
+// A flush writes slates outside the cache lock, so while a write is in
+// flight the store still holds the older value. If eviction dropped the
+// slate then, a miss would read that stale value and the next flush would
+// overwrite the flushed update with it.
+TEST(SlateCacheTest, SlateStaysCachedWhileItsFlushIsInFlight) {
+  Sink sink;
+  sink.store[Id("a")] = "0";
+  std::atomic<bool> in_flight{false};
+  std::atomic<bool> release{false};
+  SlateCache::WriteBack to_sink = sink.AsWriteBack();
+  SlateCache cache({.capacity = 2},
+                   [&](const SlateCache::DirtySlate& dirty) -> Status {
+                     if (dirty.id == Id("a") && !release.load()) {
+                       in_flight.store(true);
+                       while (!release.load()) std::this_thread::yield();
+                     }
+                     return to_sink(dirty);
+                   });
+  // One updater event on "a": read the slate (cache, else store) and
+  // count one more.
+  const auto count_event = [&] {
+    Bytes value;
+    if (!cache.Lookup(Id("a"), &value).ok()) {
+      value = sink.store.at(Id("a"));
+      ASSERT_OK(cache.Insert(Id("a"), value));
+    }
+    ASSERT_OK(cache.Update(Id("a"), std::to_string(std::stoi(value) + 1),
+                           /*now=*/1, /*write_through=*/false));
+  };
+
+  count_event();  // "1", dirty
+  std::thread flusher([&] { EXPECT_OK(cache.FlushDirty(INT64_MAX)); });
+  while (!in_flight.load()) std::this_thread::yield();
+  // "a" is now the LRU entry; two inserts push the cache past capacity.
+  ASSERT_OK(cache.Insert(Id("b"), "x"));
+  ASSERT_OK(cache.Insert(Id("c"), "x"));
+  count_event();  // must build on "1", not on the store's "0"
+  release.store(true);
+  flusher.join();
+  ASSERT_OK(cache.FlushDirty(INT64_MAX));
+
+  Bytes out;
+  ASSERT_OK(cache.Lookup(Id("a"), &out));
+  EXPECT_EQ(out, "2");
+  EXPECT_EQ(sink.store.at(Id("a")), "2");
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "service/bulk_slates.h"
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -160,6 +162,50 @@ TEST(SlateLoggerTest, MissingLogReadsEmpty) {
 TEST(SlateLoggerTest, AppendWithoutOpenFails) {
   SlateLogger logger;
   EXPECT_FALSE(logger.Append("k", "v").ok());
+}
+
+// Writes three records and returns the log's size after each one.
+std::vector<uintmax_t> WriteThreeRecords(const std::string& path) {
+  SlateLogger logger;
+  EXPECT_OK(logger.Open(path));
+  std::vector<uintmax_t> ends;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_OK(logger.Append("key" + std::to_string(i), "payload"));
+    EXPECT_OK(logger.Flush());
+    ends.push_back(std::filesystem::file_size(path));
+  }
+  EXPECT_OK(logger.Close());
+  return ends;
+}
+
+TEST(SlateLoggerTest, TornTailYieldsTheIntactPrefix) {
+  TempDir dir;
+  const std::string path = dir.path() + "/slates.log";
+  const std::vector<uintmax_t> ends = WriteThreeRecords(path);
+  // Cut the last record mid-payload, as a crash mid-append would.
+  std::filesystem::resize_file(path, ends[2] - 3);
+  std::vector<std::pair<Bytes, Bytes>> records;
+  ASSERT_OK(SlateLogger::ReadLog(path, &records));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].first, "key1");
+}
+
+TEST(SlateLoggerTest, CrcMismatchStopsReadingAtThatRecord) {
+  TempDir dir;
+  const std::string path = dir.path() + "/slates.log";
+  const std::vector<uintmax_t> ends = WriteThreeRecords(path);
+  {
+    // Flip the last payload byte of the second record.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(static_cast<std::streamoff>(ends[1] - 1));
+    const char byte = static_cast<char>(file.get() ^ 0x01);
+    file.seekp(static_cast<std::streamoff>(ends[1] - 1));
+    file.put(byte);
+  }
+  std::vector<std::pair<Bytes, Bytes>> records;
+  ASSERT_OK(SlateLogger::ReadLog(path, &records));
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].first, "key0");
 }
 
 }  // namespace

@@ -488,7 +488,7 @@ class LockGraphPass:
             recv_base = recv_base.split("->")[-1].split(".")[-1]
             recv_type = fm.local_types.get(recv_base)
             if recv_type is None and fn.cls:
-                for ci in self.classes.get(fn.cls, ()):
+                for ci in self._lineage(fn.cls):
                     fld = ci.field_named(recv_base)
                     if fld is not None:
                         recv_type = re.sub(r"[<>*&\s].*$", "",
@@ -503,11 +503,29 @@ class LockGraphPass:
             keys = [k for k in self.funcs
                     if k.endswith(f"::{callee}") and "lambda#" not in k]
             return keys if len(keys) == 1 else []
-        if fn.cls and f"{fn.cls}::{callee}" in self.funcs:
-            return [f"{fn.cls}::{callee}"]
+        if fn.cls:
+            # Own class first, then inherited methods (nearest base wins).
+            for ci in self._lineage(fn.cls):
+                if f"{ci.name}::{callee}" in self.funcs:
+                    return [f"{ci.name}::{callee}"]
         if callee in self.funcs:
             return [callee]
         return []
+
+    def _lineage(self, cls: str) -> list[ClassInfo]:
+        """`cls` and its base classes, nearest first (breadth-first)."""
+        out: list[ClassInfo] = []
+        seen: set[str] = set()
+        queue = [cls]
+        while queue:
+            name = queue.pop(0)
+            if name in seen:
+                continue
+            seen.add(name)
+            for ci in self.classes.get(name, ()):
+                out.append(ci)
+                queue.extend(b.split("::")[-1] for b in ci.bases)
+        return out
 
     def _resolve_calls_and_edges(self) -> None:
         closure = self._transitive_acquires()

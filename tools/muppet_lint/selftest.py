@@ -61,6 +61,8 @@ def main() -> int:
           "finding names both levels of the inverted edge")
     check("bad_lock", "TakeLow" in out or "Inverted" in out,
           "interprocedural acquisition attributed to a function")
+    check("bad_lock", "Base::TakeMid" in out,
+          "call to an inherited method resolved through the base class")
 
     with tempfile.TemporaryDirectory() as td:
         dot = os.path.join(td, "g.dot")
