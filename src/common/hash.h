@@ -20,8 +20,9 @@ uint64_t Mix64(uint64_t x);
 // Seeded hash for bloom filters and two-choice queue selection.
 uint64_t SeededHash(std::string_view data, uint64_t seed);
 
-// CRC32 (polynomial 0xEDB88320, table-driven). Guards WAL records and
-// SSTable blocks against corruption.
+// CRC32 (IEEE, reflected polynomial 0xEDB88320; slicing-by-8 tables).
+// Guards wire frames, WAL and changelog records and SSTable blocks
+// against corruption.
 uint32_t Crc32(std::string_view data);
 
 // Combine two hashes (boost-style), for hashing composite keys such as

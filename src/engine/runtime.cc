@@ -843,6 +843,12 @@ void EngineRuntime::RegisterCallbackMetrics() {
   metrics_.RegisterCallback("muppet_transport_bytes_sent_total", {},
                             MetricType::kCounter,
                             [this] { return transport_->bytes_sent(); });
+  metrics_.RegisterCallback("muppet_transport_socket_writes_total", {},
+                            MetricType::kCounter,
+                            [this] { return transport_->socket_writes(); });
+  metrics_.RegisterCallback("muppet_transport_wakeups_total", {},
+                            MetricType::kCounter,
+                            [this] { return transport_->io_wakeups(); });
   metrics_.RegisterCallback(
       "muppet_faults_duplicated_total", {}, MetricType::kCounter,
       [this] { return transport_->messages_duplicated(); });

@@ -45,7 +45,7 @@ Status Shard::Open() {
   uint64_t max_table = 0;
   uint64_t max_seqno = 0;
   {
-    MutexLock lock(tables_mutex_);
+    WriterMutexLock lock(tables_mutex_);
     for (auto it = sst_paths.rbegin(); it != sst_paths.rend(); ++it) {
       auto reader = SsTableReader::Open(it->string(), device_);
       if (!reader.ok()) {
@@ -85,12 +85,21 @@ Status Shard::Open() {
 }
 
 Status Shard::WriteRecord(Record rec) {
-  if (options_.enable_wal) {
-    MUPPET_RETURN_IF_ERROR(wal_.Append(rec, options_.sync_wal));
+  bool full = false;
+  {
+    // Shared: writers run concurrently with each other, but never inside
+    // FlushLocked's snapshot -> SSTable -> clear -> WAL rotation, which
+    // holds the lock exclusively. A put landing in that window would be in
+    // neither the new table nor the fresh memtable and WAL.
+    ReaderMutexLock lock(tables_mutex_);
+    if (options_.enable_wal) {
+      MUPPET_RETURN_IF_ERROR(wal_.Append(rec, options_.sync_wal));
+    }
+    memtable_.Put(std::move(rec));
+    full = memtable_.approximate_bytes() >= options_.memtable_flush_bytes;
   }
-  memtable_.Put(std::move(rec));
-  if (memtable_.approximate_bytes() >= options_.memtable_flush_bytes) {
-    MutexLock lock(tables_mutex_);
+  if (full) {
+    WriterMutexLock lock(tables_mutex_);
     // Re-check under the lock: a concurrent writer may have flushed.
     if (memtable_.approximate_bytes() >= options_.memtable_flush_bytes) {
       MUPPET_RETURN_IF_ERROR(FlushLocked());
@@ -130,7 +139,7 @@ Status Shard::Delete(BytesView row, BytesView column,
 // Size-tiered compaction merges tables that are not contiguous in time, so
 // table order alone cannot identify the newest version (Cassandra solves
 // the same problem by comparing cell timestamps on read). Requires
-// tables_mutex_ held.
+// tables_mutex_ held, shared or exclusive.
 Status Shard::GetFromTablesLocked(BytesView key, Record* out) {
   bool found = false;
   Record best;
@@ -155,7 +164,7 @@ Result<Record> Shard::GetRaw(BytesView row, BytesView column) {
   // The memtable always holds the newest version when present: its seqnos
   // postdate every flushed table's.
   if (memtable_.Get(key, &rec)) return rec;
-  MutexLock lock(tables_mutex_);
+  ReaderMutexLock lock(tables_mutex_);
   MUPPET_RETURN_IF_ERROR(GetFromTablesLocked(key, &rec));
   return rec;
 }
@@ -172,7 +181,7 @@ Result<Record> Shard::Get(BytesView row, BytesView column) {
     return rec;
   }
 
-  MutexLock lock(tables_mutex_);
+  ReaderMutexLock lock(tables_mutex_);
   MUPPET_RETURN_IF_ERROR(GetFromTablesLocked(key, &rec));
   if (rec.tombstone || rec.ExpiredAt(now)) {
     return Status::NotFound("kv: key deleted or expired");
@@ -187,7 +196,7 @@ Status Shard::ScanRow(BytesView row, std::vector<Record>* out) {
   std::vector<std::vector<Record>> streams;
   streams.push_back(memtable_.Scan(prefix));
   {
-    MutexLock lock(tables_mutex_);
+    ReaderMutexLock lock(tables_mutex_);
     for (const auto& table : tables_) {
       std::vector<Record> recs;
       MUPPET_RETURN_IF_ERROR(table->Scan(prefix, &recs));
@@ -206,7 +215,7 @@ Status Shard::ScanAll(std::vector<Record>* out) {
   std::vector<std::vector<Record>> streams;
   streams.push_back(memtable_.Snapshot());
   {
-    MutexLock lock(tables_mutex_);
+    ReaderMutexLock lock(tables_mutex_);
     for (const auto& table : tables_) {
       std::vector<Record> recs;
       MUPPET_RETURN_IF_ERROR(table->ReadAll(&recs));
@@ -220,7 +229,7 @@ Status Shard::ScanAll(std::vector<Record>* out) {
 }
 
 Status Shard::Flush() {
-  MutexLock lock(tables_mutex_);
+  WriterMutexLock lock(tables_mutex_);
   return FlushLocked();
 }
 
@@ -301,7 +310,7 @@ Status Shard::CompactGroupLocked(const std::vector<size_t>& group,
 }
 
 Status Shard::CompactAll() {
-  MutexLock lock(tables_mutex_);
+  WriterMutexLock lock(tables_mutex_);
   MUPPET_RETURN_IF_ERROR(FlushLocked());
   if (tables_.size() < 2 && !tables_.empty()) {
     // Still rewrite the single table to purge garbage.
@@ -313,7 +322,7 @@ Status Shard::CompactAll() {
 }
 
 size_t Shard::sstable_count() const {
-  MutexLock lock(tables_mutex_);
+  ReaderMutexLock lock(tables_mutex_);
   return tables_.size();
 }
 

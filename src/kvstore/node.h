@@ -107,7 +107,7 @@ class Shard {
  private:
   Status WriteRecord(Record rec);
   Status GetFromTablesLocked(BytesView key, Record* out)
-      MUPPET_REQUIRES(tables_mutex_);
+      MUPPET_REQUIRES_SHARED(tables_mutex_);
   Status FlushLocked() MUPPET_REQUIRES(tables_mutex_);
   Status MaybeCompactLocked() MUPPET_REQUIRES(tables_mutex_);
   Status CompactGroupLocked(const std::vector<size_t>& group,
@@ -127,10 +127,12 @@ class Shard {
   std::atomic<uint64_t> flushes_{0};
   std::atomic<uint64_t> compactions_{0};
 
-  // Newest-first list of open tables. Guarded for flush/compact vs read;
-  // log rotation (wal_) and memtable snapshot/clear also happen under it,
-  // hence store-tables sits above store-io in the lock hierarchy.
-  mutable Mutex tables_mutex_{kTablesLockLevel};
+  // Newest-first list of open tables. Reads and writes (WAL append +
+  // memtable put) hold it shared; flush and compaction hold it
+  // exclusively, so log rotation (wal_) and the memtable snapshot/clear
+  // never interleave with a write. Hence store-tables sits above store-io
+  // in the lock hierarchy.
+  mutable SharedMutex tables_mutex_{kTablesLockLevel};
   std::vector<std::unique_ptr<SsTableReader>> tables_
       MUPPET_GUARDED_BY(tables_mutex_);
 };

@@ -48,12 +48,11 @@ Bytes EncodeFrame(const WireFrame& frame) {
 }
 
 void FrameDecoder::Feed(BytesView data) {
-  // Compact the decoded prefix before growing: keeps the buffer bounded by
-  // one partial frame plus the newly fed slice.
-  if (consumed_ > 0 && consumed_ == buffer_.size()) {
-    buffer_.clear();
-    consumed_ = 0;
-  } else if (consumed_ > kMaxFramePayload) {
+  // Compact once the decoded prefix is at least half the buffer. Each byte
+  // is moved at most once per halving, so the copy is amortised O(1) per
+  // byte, and a caller that drains Next() between feeds keeps the buffer
+  // under two frames plus the newly fed slice.
+  if (consumed_ > 0 && consumed_ * 2 >= buffer_.size()) {
     buffer_.erase(0, consumed_);
     consumed_ = 0;
   }

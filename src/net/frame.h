@@ -75,6 +75,8 @@ class FrameDecoder {
   Status Next(WireFrame* out, bool* have);
 
   size_t buffered() const { return buffer_.size() - consumed_; }
+  // Bytes held, including the decoded prefix not yet compacted away.
+  size_t retained() const { return buffer_.size(); }
   bool corrupt() const { return corrupt_; }
 
  private:

@@ -143,6 +143,19 @@ ssize_t SocketWrite(int fd, const void* buf, size_t len) {
   }
 }
 
+ssize_t SocketWritev(int fd, const iovec* iov, int n) {
+  msghdr msg{};
+  msg.msg_iov = const_cast<iovec*>(iov);
+  msg.msg_iovlen = static_cast<size_t>(n);
+  while (true) {
+    const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (sent >= 0) return sent;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return kWouldBlock;
+    return -1;
+  }
+}
+
 Status Epoll::Create() {
   epfd_ = OwnedFd(::epoll_create1(0));
   if (!epfd_.valid()) return ErrnoStatus("epoll_create1");

@@ -5,6 +5,8 @@
 #ifndef MUPPET_NET_SOCKET_H_
 #define MUPPET_NET_SOCKET_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -75,6 +77,10 @@ ssize_t SocketRead(int fd, void* buf, size_t len);
 // Non-blocking write. Returns bytes written (>=0), kWouldBlock, or -1 on
 // hard error. Short writes are normal; callers keep their own cursor.
 ssize_t SocketWrite(int fd, const void* buf, size_t len);
+
+// Non-blocking gathered write of `n` buffers with one sendmsg(2). Same
+// contract as SocketWrite: the count may stop inside any buffer.
+ssize_t SocketWritev(int fd, const iovec* iov, int n);
 
 // Level-triggered epoll wrapper.
 class Epoll {

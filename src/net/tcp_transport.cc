@@ -13,6 +13,8 @@ namespace {
 // cadence), long when idle (dial deadlines shorten it as needed).
 constexpr int kPendingRetryMillis = 2;
 constexpr int kIdleTickMillis = 100;
+// Frames handed to one sendmsg(2) by DrainPeerWrites.
+constexpr int kMaxFramesPerWrite = 64;
 }  // namespace
 
 TcpTransport::TcpTransport(TcpTransportOptions options)
@@ -52,7 +54,7 @@ Status TcpTransport::Start() {
 void TcpTransport::Stop() {
   if (!running_.exchange(false)) return;
   stop_.store(true, std::memory_order_release);
-  wakeup_.Signal();
+  WakeIo();
   if (io_thread_.joinable()) io_thread_.join();
   // Undelivered queued frames die with the transport; account them so
   // shutdown is not mistaken for delivery.
@@ -191,6 +193,7 @@ Status TcpTransport::EnqueueFrame(Peer* peer, const WireFrame& frame) {
                                " unreachable");
   }
   Bytes encoded = EncodeFrame(frame);
+  bool was_empty = false;
   {
     MutexLock lock(peer->q_mutex);
     if (peer->queued_bytes + encoded.size() >
@@ -201,12 +204,22 @@ Status TcpTransport::EnqueueFrame(Peer* peer, const WireFrame& frame) {
     }
     peer->queued_bytes += encoded.size();
     bytes_sent_.Add(static_cast<int64_t>(encoded.size()));
+    was_empty = peer->queue.empty();
     peer->queue.push_back(QueuedFrame{std::move(encoded), frame.count});
   }
   messages_sent_.Add(static_cast<int64_t>(frame.count));
   frames_sent_.Add();
-  wakeup_.Signal();
+  // Wake the IO thread only on empty -> non-empty. A non-empty queue is
+  // already owed a drain: the push that made it non-empty signalled, or
+  // the IO thread left it behind on EAGAIN with EPOLLOUT armed, or the
+  // peer is reconnecting and the handshake drains it.
+  if (was_empty) WakeIo();
   return Status::OK();
+}
+
+void TcpTransport::WakeIo() {
+  io_wakeups_.Add();
+  wakeup_.Signal();
 }
 
 void TcpTransport::Crash(MachineId id) {
@@ -260,7 +273,7 @@ Status TcpTransport::FlushOutbound(Timestamp timeout_micros) {
     if (clock_->Now() >= deadline) {
       return Status::TimedOut("tcp transport: outbound not drained");
     }
-    wakeup_.Signal();
+    WakeIo();
     clock_->SleepFor(1000);
   }
 }
@@ -322,7 +335,7 @@ void TcpTransport::IoLoop() {
     }
     if (stop_.load(std::memory_order_acquire)) break;
 
-    // Senders enqueue and Signal(); push those bytes out now.
+    // Senders enqueue and wake us; push those bytes out now.
     for (auto& peer : peers_) {
       if (peer->state == Peer::DialState::kUp) {
         DrainPeerWrites(peer.get(), after);
@@ -372,7 +385,8 @@ void TcpTransport::TearDownPeer(Peer* peer, Timestamp now, const char* why) {
     // A partially written head frame is resent from its first byte on
     // reconnect: the receiver cannot have decoded a partial frame, so the
     // retransmit is at worst a whole-frame duplicate, which exactly-once
-    // dedup suppresses.
+    // dedup suppresses. Only the head can be partial: DrainPeerWrites pops
+    // every frame a gathered write finished.
     MutexLock lock(peer->q_mutex);
     peer->head_offset = 0;
   }
@@ -471,24 +485,48 @@ void TcpTransport::DrainPeerWrites(Peer* peer, Timestamp now) {
   bool would_block = false;
   {
     MutexLock lock(peer->q_mutex);
+    iovec iov[kMaxFramesPerWrite];
     while (!peer->queue.empty()) {
-      QueuedFrame& head = peer->queue.front();
-      const ssize_t n =
-          SocketWrite(peer->fd.get(), head.data.data() + peer->head_offset,
-                      head.data.size() - peer->head_offset);
-      if (n == kWouldBlock) {
+      // Gather the head (from head_offset) and the frames queued behind it.
+      int n = 0;
+      size_t gathered = 0;
+      for (auto it = peer->queue.begin();
+           it != peer->queue.end() && n < kMaxFramesPerWrite; ++it, ++n) {
+        const size_t skip = n == 0 ? peer->head_offset : 0;
+        iov[n].iov_base = it->data.data() + skip;
+        iov[n].iov_len = it->data.size() - skip;
+        gathered += iov[n].iov_len;
+      }
+      const ssize_t sent = SocketWritev(peer->fd.get(), iov, n);
+      if (sent == kWouldBlock) {
         would_block = true;
         break;
       }
-      if (n == -1) {
+      if (sent == -1) {
         failed = true;
         break;
       }
-      peer->head_offset += static_cast<size_t>(n);
-      if (peer->head_offset == head.data.size()) {
+      socket_writes_.Add();
+      // Pop every frame written whole; the write may stop inside one
+      // frame, which becomes the head with head_offset inside it.
+      size_t left = static_cast<size_t>(sent);
+      while (left > 0) {
+        QueuedFrame& head = peer->queue.front();
+        const size_t rest = head.data.size() - peer->head_offset;
+        if (left < rest) {
+          peer->head_offset += left;
+          break;
+        }
+        left -= rest;
         peer->queued_bytes -= head.data.size();
         peer->head_offset = 0;
         peer->queue.pop_front();
+      }
+      // A short write means the socket buffer is full: wait for EPOLLOUT
+      // instead of spending a syscall to learn EAGAIN.
+      if (static_cast<size_t>(sent) < gathered) {
+        would_block = true;
+        break;
       }
     }
   }

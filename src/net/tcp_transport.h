@@ -193,6 +193,7 @@ class TcpTransport : public Transport {
   bool DeliverFrame(Conn* conn, WireFrame frame);
   void RetryPending();
   Status EnqueueFrame(Peer* peer, const WireFrame& frame);
+  void WakeIo();  // Signal() the IO thread and count the wakeup
   std::shared_ptr<LocalMachine> FindLocal(MachineId id) const;
   Peer* PeerForMachine(MachineId id) const;  // nullptr when unrouted
   void CountAttempt(MachineId id);

@@ -214,6 +214,11 @@ class Transport {
   int64_t messages_duplicated() const { return messages_duplicated_.Get(); }
   // Logical messages accepted into the reorder holdback buffer.
   int64_t messages_held() const { return messages_held_.Get(); }
+  // Socket backends only: successful send/sendmsg calls that carried
+  // frames, and wakeups of the IO thread. Fewer writes than frames_sent
+  // means queued frames shared a syscall.
+  int64_t socket_writes() const { return socket_writes_.Get(); }
+  int64_t io_wakeups() const { return io_wakeups_.Get(); }
 
  protected:
   Transport() = default;
@@ -226,6 +231,8 @@ class Transport {
   Counter bytes_sent_;
   Counter messages_duplicated_;
   Counter messages_held_;
+  Counter socket_writes_;
+  Counter io_wakeups_;
 };
 
 // The deterministic in-process fabric (the default backend, and the only

@@ -51,6 +51,35 @@ TEST(HashTest, Crc32DetectsSingleBitFlip) {
   EXPECT_NE(Crc32(data), original);
 }
 
+// Bytewise reference CRC32, written independently of the library's tables.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// Every length 0-300 at every start offset 0-7: covers the eight-byte
+// loop, the bytewise tail and unaligned loads.
+TEST(HashTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::string buf(300 + 8, '\0');
+  uint64_t x = 12345;
+  for (char& c : buf) {
+    x = Mix64(x);
+    c = static_cast<char>(x & 0xFF);
+  }
+  const auto* base = reinterpret_cast<const unsigned char*>(buf.data());
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32(std::string_view(buf.data() + off, len)),
+                ReferenceCrc32(base + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
 TEST(HashTest, HashCombineOrderSensitive) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
 }

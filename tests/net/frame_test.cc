@@ -7,6 +7,7 @@
 // decoder refuses everything after it.
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -243,6 +244,57 @@ TEST(FrameTest, RandomSlicingIsLossless) {
     }
     EXPECT_EQ(decoded, frames.size()) << "trial " << trial;
   }
+}
+
+// Reads that never end on a frame edge leave a decoded prefix behind on
+// every feed; the decoder must compact it rather than keep the whole
+// stream. 13 MB of 328-byte frames in 1,000-byte slices, the first one
+// byte short: every slice ends at an odd offset, every frame edge is even.
+TEST(FrameTest, BufferStaysBoundedWhenReadsSplitFrames) {
+  const Bytes frame = EncodeFrame(MakeFrame(1, 2, std::string(300, 'x')));
+  ASSERT_EQ(frame.size(), 328u);
+  constexpr size_t kSlice = 1000;
+  constexpr size_t kFrames = 40000;
+  Bytes wire;
+  wire.reserve(frame.size() * kFrames);
+  for (size_t i = 0; i < kFrames; ++i) wire += frame;
+
+  FrameDecoder dec;
+  size_t decoded = 0;
+  size_t max_retained = 0;
+  for (size_t off = 0; off < wire.size();) {
+    const size_t take =
+        std::min(off == 0 ? kSlice - 1 : kSlice, wire.size() - off);
+    dec.Feed(BytesView(wire.data() + off, take));
+    off += take;
+    max_retained = std::max(max_retained, dec.retained());
+    WireFrame out;
+    bool have = true;
+    while (have) {
+      ASSERT_TRUE(dec.Next(&out, &have).ok());
+      if (have) ++decoded;
+    }
+  }
+  EXPECT_EQ(decoded, kFrames);
+  EXPECT_LE(max_retained, 4 * frame.size() + kSlice);
+}
+
+// The wire bytes of one fixed frame, captured from the bytewise-CRC
+// implementation: the frame format and its checksum must never drift.
+TEST(FrameTest, EncodeFrameMatchesGoldenBytes) {
+  const Bytes wire = EncodeFrame(
+      MakeFrame(3, 7, "Muppet: MapReduce-Style Processing of Fast Data",
+                FrameType::kBatch, 2));
+  static const char kHex[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : wire) {
+    hex.push_back(kHex[c >> 4]);
+    hex.push_back(kHex[c & 0xF]);
+  }
+  EXPECT_EQ(hex,
+            "4d505054010300000300000007000000020000002f0000007f86e1c4"
+            "4d75707065743a204d61705265647563652d5374796c652050726f63"
+            "657373696e67206f6620466173742044617461");
 }
 
 TEST(FrameTest, HelloRoundTrip) {

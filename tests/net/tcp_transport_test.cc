@@ -6,7 +6,9 @@
 //    and the node survives the torn connection;
 //  * reconnect with backoff resumes delivery after the peer restarts;
 //  * write-queue overflow surfaces as ResourceExhausted backpressure,
-//    never as a silent drop.
+//    never as a silent drop;
+//  * gathered writes that stop mid-frame still deliver every frame once,
+//    in order, and queued frames share socket writes.
 #include "net/tcp_transport.h"
 
 #include <arpa/inet.h>
@@ -95,6 +97,11 @@ struct Node {
   // (never mutated after), counted from the handler.
   Bytes expect_payload;
   std::atomic<int> expect_hits{0};
+  // When set before Init(), the batch handler records the u32 sequence
+  // number at the front of each accepted payload, in arrival order. Read
+  // it only after `received` shows every expected message.
+  bool record_order = false;
+  std::vector<uint32_t> order;
 
   void Init(uint32_t node_id, int port, MachineId hosted,
             std::vector<TcpPeerConfig> peers,
@@ -129,11 +136,16 @@ struct Node {
     ASSERT_TRUE(transport
                     ->RegisterBatchHandler(
                         hosted,
-                        [this](MachineId, BytesView, size_t count,
+                        [this](MachineId, BytesView payload, size_t count,
                                size_t* accepted) {
                           if (decline.load()) {
                             *accepted = 0;
                             return Status::ResourceExhausted("test decline");
+                          }
+                          if (record_order && payload.size() >= 4) {
+                            uint32_t seq = 0;
+                            std::memcpy(&seq, payload.data(), 4);
+                            order.push_back(seq);
                           }
                           *accepted = count;
                           received.fetch_add(static_cast<int>(count));
@@ -382,6 +394,86 @@ TEST(TcpTransportTest, WriteQueueOverflowReportsBackpressure) {
       /*timeout_ms=*/20000));
   EXPECT_TRUE(a.transport->FlushOutbound(5 * 1000 * 1000).ok());
 
+  a.transport->Stop();
+  b.transport->Stop();
+}
+
+// A one-message batch payload: u32 sequence number, then filler.
+Bytes SeqPayload(uint32_t seq, size_t size) {
+  Bytes payload(size, 'p');
+  std::memcpy(payload.data(), &seq, 4);
+  return payload;
+}
+
+// Starts a sender (node 1, machine 0) and a receiver (node 2, machine 1)
+// whose handler declines everything, then enqueues `sizes.size()` batch
+// frames. Reads on the receiving connection pause behind the declined
+// frame, so the sender's socket fills and the tail of the queue waits on
+// EPOLLOUT. Returns once the sender's queue is verifiably stuck.
+void FillBlockedSocket(Node* a, Node* b, const std::vector<size_t>& sizes) {
+  const int port_a = ReservePort();
+  const int port_b = ReservePort();
+  a->Init(1, port_a, /*hosted=*/0, {PeerOf(2, port_b, {1})},
+          /*queue_cap=*/64u << 20);
+  b->Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
+  b->decline.store(true);
+  ASSERT_TRUE(a->transport->Start().ok());
+  ASSERT_TRUE(b->transport->Start().ok());
+  ASSERT_TRUE(WaitUntil([&] { return a->transport->PeerUp(2); }));
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    size_t accepted = 0;
+    ASSERT_TRUE(a->transport
+                    ->SendBatch(0, 1, SeqPayload(static_cast<uint32_t>(i),
+                                                 sizes[i]),
+                                1, &accepted)
+                    .ok());
+  }
+  EXPECT_EQ(a->transport->FlushOutbound(200 * 1000).code(),
+            StatusCode::kTimedOut)
+      << "the sender's queue drained against a paused receiver";
+}
+
+TEST(TcpTransportTest, GatheredWritesSurviveShortWritesInOrder) {
+  // 1-7 KB payloads: frame edges never line up with the socket buffer, so
+  // gathered writes stop inside a frame and inside an iovec.
+  std::vector<size_t> sizes;
+  for (size_t i = 0; i < 4000; ++i) sizes.push_back(1000 + (i * 7919) % 6000);
+  Node a, b;
+  b.record_order = true;
+  FillBlockedSocket(&a, &b, sizes);
+  ASSERT_FALSE(HasFatalFailure());
+
+  b.decline.store(false);
+  const int n = static_cast<int>(sizes.size());
+  ASSERT_TRUE(WaitUntil([&] { return b.received.load() >= n; },
+                        /*timeout_ms=*/20000));
+  EXPECT_TRUE(a.transport->FlushOutbound(5 * 1000 * 1000).ok());
+  a.transport->Stop();
+  b.transport->Stop();
+
+  EXPECT_EQ(b.received.load(), n);
+  ASSERT_EQ(b.order.size(), sizes.size());
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    ASSERT_EQ(b.order[i], static_cast<uint32_t>(i)) << "position " << i;
+  }
+  EXPECT_EQ(a.transport->messages_dropped(), 0);
+  EXPECT_EQ(b.transport->messages_dropped(), 0);
+}
+
+TEST(TcpTransportTest, QueuedFramesShareSocketWrites) {
+  Node a, b;
+  FillBlockedSocket(&a, &b, std::vector<size_t>(20000, 1000));
+  ASSERT_FALSE(HasFatalFailure());
+  // Frames queued behind a non-empty queue owe no wakeup of their own.
+  EXPECT_LT(a.transport->io_wakeups(), a.transport->frames_sent());
+
+  b.decline.store(false);
+  ASSERT_TRUE(WaitUntil([&] { return b.received.load() >= 20000; },
+                        /*timeout_ms=*/20000));
+  EXPECT_TRUE(a.transport->FlushOutbound(5 * 1000 * 1000).ok());
+  EXPECT_EQ(a.transport->frames_sent(), 20000);
+  EXPECT_GT(a.transport->socket_writes(), 0);
+  EXPECT_LT(a.transport->socket_writes(), a.transport->frames_sent());
   a.transport->Stop();
   b.transport->Stop();
 }

@@ -96,6 +96,8 @@ for port in $ADM0 $ADM1 $ADM2; do
   python3 "$REPO_ROOT/tools/check_prom.py" "$WORK/metrics_$port.prom" \
     --require muppet_build_info \
     --require muppet_transport_messages_sent_total \
+    --require muppet_transport_socket_writes_total \
+    --require muppet_transport_wakeups_total \
     || fail "metrics exposition on $port"
 done
 
