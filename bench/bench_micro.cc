@@ -1,18 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the primitives the engines lean
 // on: event wire codec, slate compression, JSON slate round-trips, hash
-// ring routing, queue operations, and the 1.0 task-processor protocol.
+// ring routing, queue operations, the 1.0 task-processor protocol, and the
+// central slate cache under contention.
 // These quantify the §4.5 argument that eliminating serialization inside
 // a machine is worth a generation bump.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/compress.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "core/event.h"
 #include "core/hash_ring.h"
 #include "core/intern.h"
 #include "core/slate.h"
+#include "core/slate_cache.h"
 #include "engine/queue.h"
 #include "engine/wire.h"
 #include "json/json.h"
@@ -209,6 +213,38 @@ void BM_Crc32(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(4096);
+
+void BM_SlateCacheFetchUpdate(benchmark::State& state) {
+  // An updater event's two cache calls (fetch, then replace) on a Muppet
+  // 2.0 central cache that every benchmark thread shares, as a machine's
+  // workers do (§4.5): 100k resident slates, capacity 200k, uniform keys.
+  constexpr int kKeys = 100000;
+  static const std::vector<SlateId>* const ids = [] {
+    auto* out = new std::vector<SlateId>();
+    for (int i = 0; i < kKeys; ++i) {
+      out->push_back(SlateId{"count", "key" + std::to_string(i)});
+    }
+    return out;
+  }();
+  static SlateCache* const cache = [] {
+    auto* c = new SlateCache(
+        {.capacity = 200000},
+        [](const SlateCache::DirtySlate&) { return Status::OK(); });
+    for (const SlateId& id : *ids) (void)c->Insert(id, Bytes(16, 's'));
+    return c;
+  }();
+  Rng rng(0x51a7e + static_cast<uint64_t>(state.thread_index()));
+  Bytes value;
+  bool absent = false;
+  for (auto _ : state) {
+    const SlateId& id = (*ids)[rng.Uniform(kKeys)];
+    benchmark::DoNotOptimize(cache->LookupWithAbsent(id, &value, &absent));
+    benchmark::DoNotOptimize(
+        cache->Update(id, value, /*now=*/1, /*write_through=*/false));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SlateCacheFetchUpdate)->Threads(1)->Threads(3)->UseRealTime();
 
 }  // namespace
 }  // namespace muppet

@@ -1,6 +1,7 @@
 #include "common/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -11,14 +12,57 @@ Histogram::Histogram() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
-int Histogram::BucketFor(int64_t value) {
-  if (value < 1) value = 1;
-  // Geometric buckets: bucket = floor(log(value) / log(1.08)).
-  // Computed via bit tricks would be faster; this is not on the data path.
+namespace {
+
+// The bucket definition: floor(log(value) / log(1.08)), clamped to the
+// bucket range. Evaluated only to build the edge table below.
+int LogBucket(int64_t value) {
   static const double kInvLog = 1.0 / std::log(1.08);
-  int b = static_cast<int>(std::log(static_cast<double>(value)) * kInvLog);
-  if (b < 0) b = 0;
-  if (b >= kNumBuckets) b = kNumBuckets - 1;
+  const int b =
+      static_cast<int>(std::log(static_cast<double>(value)) * kInvLog);
+  return std::clamp(b, 0, Histogram::kNumBuckets - 1);
+}
+
+// LogBucket's edges, so Record (twice per event on the worker hot path)
+// costs a few integer compares instead of a std::log.
+struct BucketEdges {
+  // lower[b]: the smallest value LogBucket puts in bucket b or above.
+  int64_t lower[Histogram::kNumBuckets];
+  // first[w]: the bucket of 2^(w-1), where every value of bit width w
+  // starts its search; a width spans about nine buckets.
+  int first[65];
+
+  BucketEdges() {
+    lower[0] = 1;
+    for (int b = 1; b < Histogram::kNumBuckets; ++b) {
+      // LogBucket is monotone, so binary-search its first value >= b.
+      int64_t lo = lower[b - 1];
+      int64_t hi = int64_t{1} << 40;  // > 1.08^255: past the top bucket
+      while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (LogBucket(mid) >= b) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      lower[b] = lo;
+    }
+    first[0] = 0;
+    for (int w = 1; w <= 64; ++w) {
+      first[w] = w <= 40 ? LogBucket(int64_t{1} << (w - 1))
+                         : Histogram::kNumBuckets - 1;
+    }
+  }
+};
+
+}  // namespace
+
+int Histogram::BucketFor(int64_t value) {
+  static const BucketEdges edges;
+  if (value < 1) value = 1;
+  int b = edges.first[std::bit_width(static_cast<uint64_t>(value))];
+  while (b + 1 < kNumBuckets && edges.lower[b + 1] <= value) ++b;
   return b;
 }
 

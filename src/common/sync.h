@@ -48,7 +48,8 @@
 //     55   failed-set       per-machine failed-peer sets (both engines)
 //     60   drain            engine drain_mutex_ (inflight condvar)
 //     65   throttle         ThrottleGovernor delay state
-//     70   slate-cache      SlateCache LRU + index
+//     70   slate-cache      SlateCache shard LRU + index (one per shard,
+//                           never two held)
 //     80   store-node       StorageNode column-family registry
 //     90   store-tables     Shard SSTable list
 //    100   store-io         MemTable map, WAL file, SSTable file handle

@@ -8,11 +8,19 @@
 // Eviction is LRU by slate count. Dirty slates are written back through a
 // caller-provided writer according to the per-updater flush policy
 // (write-through / interval / on-evict, §4.2).
+//
+// The cache is one logical cache, lock-striped: a slate lives in one of N
+// shards picked by its id hash, and each shard has its own mutex, LRU list,
+// index and counters, so worker threads touching different slates do not
+// serialize on one lock. N = clamp(capacity / 4096, 1, 16) and the shard
+// capacities sum to `capacity`; a cache under 8,192 slates is a single LRU.
+// Eviction is LRU within a shard. No path holds two shard mutexes at once.
 #ifndef MUPPET_CORE_SLATE_CACHE_H_
 #define MUPPET_CORE_SLATE_CACHE_H_
 
 #include <functional>
 #include <list>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -66,7 +74,10 @@ class SlateCache {
   Status Delete(const SlateId& id);
 
   // Flush slates dirty since before `dirty_before`; pass INT64_MAX to
-  // flush everything (shutdown). Returns the number flushed.
+  // flush everything (shutdown). Returns the number flushed. Walks one
+  // shard at a time: collect its dirty slates under its lock, write them
+  // back outside it, then unpin them — so a flush never locks the whole
+  // cache and copies at most one shard's dirty set.
   Result<int> FlushDirty(Timestamp dirty_before);
 
   // As FlushDirty, restricted to one updater's slates — the central cache
@@ -88,13 +99,14 @@ class SlateCache {
   // key-value store are lost" (§4.3).
   void Clear();
 
-  size_t size() const MUPPET_EXCLUDES(mutex_);
+  size_t size() const;
   size_t capacity() const { return options_.capacity; }
 
+  // Every shard mutex sits at this level.
   static constexpr LockLevel kLockLevel = LockLevel::kSlateCache;
-  int64_t hits() const { return hits_.Get(); }
-  int64_t misses() const { return misses_.Get(); }
-  int64_t evictions() const { return evictions_.Get(); }
+  int64_t hits() const;
+  int64_t misses() const;
+  int64_t evictions() const;
 
  private:
   struct Entry {
@@ -103,32 +115,43 @@ class SlateCache {
     bool dirty = false;
     bool absent = false;  // negative entry: store has nothing
     Timestamp dirty_since = 0;
-    // Write-backs of this entry running outside mutex_. A pinned entry is
-    // never evicted: until the write lands, the store holds an older value.
+    // Write-backs of this entry running outside the shard lock. A pinned
+    // entry is never evicted: until the write lands, the store holds an
+    // older value.
     int pins = 0;
   };
   using LruList = std::list<Entry>;
 
-  // Evict unpinned LRU entries beyond capacity, writing dirty ones back.
-  // The write-back runs under mutex_, which is why the cache sits above
-  // the store in the lock hierarchy.
-  Status EvictIfNeededLocked() MUPPET_REQUIRES(mutex_);
+  struct ShardMutex : Mutex {
+    ShardMutex() : Mutex(kLockLevel) {}
+  };
+
+  struct Shard {
+    mutable ShardMutex mutex;
+    size_t capacity = 0;  // set once by the constructor
+    LruList lru MUPPET_GUARDED_BY(mutex);  // front = most recent
+    std::unordered_map<SlateId, LruList::iterator, SlateIdHash> index
+        MUPPET_GUARDED_BY(mutex);
+    Counter hits;
+    Counter misses;
+    Counter evictions;
+  };
+
+  Shard& ShardFor(const SlateId& id) const;
+  // Evict unpinned LRU entries beyond the shard's capacity, writing dirty
+  // ones back. The write-back runs under the shard lock, which is why the
+  // cache sits above the store in the lock hierarchy.
+  Status EvictIfNeededLocked(Shard& shard) MUPPET_REQUIRES(shard.mutex);
   // Release one pin taken before an unlocked write-back of `id`.
-  void Unpin(const SlateId& id) MUPPET_EXCLUDES(mutex_);
-  // Insert or update; requires mutex_ held. Returns the entry.
-  Entry* UpsertLocked(const SlateId& id) MUPPET_REQUIRES(mutex_);
+  void Unpin(Shard& shard, const SlateId& id) MUPPET_EXCLUDES(shard.mutex);
+  // Insert or update; requires the shard lock held. Returns the entry.
+  Entry* UpsertLocked(Shard& shard, const SlateId& id)
+      MUPPET_REQUIRES(shard.mutex);
 
   SlateCacheOptions options_;
   WriteBack write_back_;
-
-  mutable Mutex mutex_{kLockLevel};
-  LruList lru_ MUPPET_GUARDED_BY(mutex_);  // front = most recent
-  std::unordered_map<SlateId, LruList::iterator, SlateIdHash> index_
-      MUPPET_GUARDED_BY(mutex_);
-
-  Counter hits_;
-  Counter misses_;
-  Counter evictions_;
+  const size_t num_shards_;
+  const std::unique_ptr<Shard[]> shards_;
 };
 
 }  // namespace muppet

@@ -130,14 +130,18 @@ class EngineRuntime : public Engine {
     // Lock-free emptiness check so the hot path skips the failed-set copy.
     std::atomic<size_t> failed_count{0};
     std::atomic<bool> crashed{false};
+    // muppet-lint: allow(guarded): set by StartThreads, joined at stop
     std::thread flusher;
     // Per-machine trace ring (null when tracing is disabled).
+    // muppet-lint: allow(guarded): set by InitMachine before threads start
     std::unique_ptr<TraceSink> trace_sink;
     // Durability plane (engine/slatelog.h); both null in kLossy mode,
     // dedup additionally null below kExactlyOnce. Records carry
     // (updater, key), so one changelog per machine serves any number of
     // caches.
+    // muppet-lint: allow(guarded): set by InitMachine before threads start
     std::unique_ptr<SlateChangelog> changelog;
+    // muppet-lint: allow(guarded): set by InitMachine before threads start
     std::unique_ptr<DedupTable> dedup;
     // Checkpoint cursor as of the last checkpoint or replay.
     std::atomic<uint64_t> manifest_lsn{0};

@@ -146,13 +146,21 @@ class TcpTransport : public Transport {
 
     // IO-thread only.
     enum class DialState { kIdle, kConnecting, kHandshaking, kUp };
+    // muppet-lint: allow(guarded): IO-thread only
     DialState state = DialState::kIdle;
+    // muppet-lint: allow(guarded): IO-thread only
     OwnedFd fd;
+    // muppet-lint: allow(guarded): IO-thread only
     FrameDecoder decoder;     // HELLO reply arrives on the dialed conn
+    // muppet-lint: allow(guarded): IO-thread only
     Bytes hello_out;          // our HELLO, partially written
+    // muppet-lint: allow(guarded): IO-thread only
     size_t hello_written = 0;
+    // muppet-lint: allow(guarded): IO-thread only
     Timestamp next_dial_at = 0;
+    // muppet-lint: allow(guarded): IO-thread only
     Timestamp backoff = 0;
+    // muppet-lint: allow(guarded): IO-thread only
     bool want_write = false;  // EPOLLOUT armed
 
     // Shared with senders.

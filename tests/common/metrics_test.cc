@@ -1,5 +1,8 @@
 #include "common/metrics.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -89,6 +92,50 @@ TEST(HistogramTest, ClampsNonPositiveToOne) {
   h.Record(-5);
   EXPECT_EQ(h.count(), 2);
   EXPECT_EQ(h.min(), 1);
+}
+
+// The bucket formula Record used to evaluate with std::log on every
+// sample; BucketFor's edge table must reproduce it exactly.
+int LogFormulaBucket(int64_t value) {
+  if (value < 1) value = 1;
+  static const double kInvLog = 1.0 / std::log(1.08);
+  int b = static_cast<int>(std::log(static_cast<double>(value)) * kInvLog);
+  if (b < 0) b = 0;
+  if (b >= Histogram::kNumBuckets) b = Histogram::kNumBuckets - 1;
+  return b;
+}
+
+TEST(HistogramTest, BucketTableMatchesLogFormulaUpTo2Pow22) {
+  for (int64_t v = 1; v <= (int64_t{1} << 22); ++v) {
+    ASSERT_EQ(Histogram::BucketFor(v), LogFormulaBucket(v)) << "value " << v;
+  }
+}
+
+TEST(HistogramTest, BucketTableMatchesLogFormulaAtEveryEdge) {
+  int64_t edge = 1;
+  for (int b = 1; b < Histogram::kNumBuckets; ++b) {
+    // The formula's first value in bucket b or above (it is monotone;
+    // buckets 1-8 are narrower than 1 and hold no integer).
+    int64_t hi = int64_t{1} << 40;
+    while (edge < hi) {
+      const int64_t mid = edge + (hi - edge) / 2;
+      if (LogFormulaBucket(mid) >= b) {
+        hi = mid;
+      } else {
+        edge = mid + 1;
+      }
+    }
+    ASSERT_GE(LogFormulaBucket(edge), b);
+    ASSERT_LT(LogFormulaBucket(edge - 1), b);
+    for (int64_t v : {edge - 1, edge, edge + 1}) {
+      ASSERT_EQ(Histogram::BucketFor(v), LogFormulaBucket(v))
+          << "bucket " << b << " value " << v;
+    }
+  }
+  for (int64_t v : {int64_t{0}, int64_t{-7}, int64_t{1} << 40,
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(Histogram::BucketFor(v), LogFormulaBucket(v)) << "value " << v;
+  }
 }
 
 TEST(HistogramTest, ResetClears) {

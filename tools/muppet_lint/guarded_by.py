@@ -18,6 +18,13 @@ set {constructor, destructor, Start, Stop}. Members only ever written
 during single-threaded setup/teardown are not flagged: nothing races
 on them. Writes inside lambdas are never lifecycle-exempt even when
 the lambda is spawned from Start — that code runs on worker threads.
+
+A nested struct that owns its own mutex (a lock stripe or cache shard,
+e.g. `struct Shard { Mutex mutex; ... }` inside `SlateCache`) usually
+has no methods: the enclosing class writes its members through a
+reference (`shard.lru.push_front(...)`, `shards_[i].count++`). For such
+owners the enclosing class's method bodies are searched for writes
+through any object, with the enclosing class's lifecycle set exempt.
 """
 
 from __future__ import annotations
@@ -57,14 +64,20 @@ def _in_scope(sf: SourceFile) -> bool:
             and sf.rel not in EXEMPT_FILES)
 
 
-def _write_res(name: str) -> list[re.Pattern]:
+def _write_res(name: str, through_object: bool = False) -> list[re.Pattern]:
     """Regexes matching a write to member `name` inside a body.
 
-    The lookbehind rejects `other->name = ...` / `other.name = ...`
-    (a write to some other object's member of the same name); `this->`
-    qualification is still accepted.
+    By default the lookbehind rejects `other->name = ...` /
+    `other.name = ...` (a write to some other object's member of the
+    same name); `this->` qualification is still accepted. With
+    `through_object` only writes through an object are matched:
+    `obj.name`, `obj->name`, `objs[i].name`.
     """
-    ref = r"(?<![\w.>])(?:this\s*->\s*)?\b" + re.escape(name)
+    if through_object:
+        ref = (r"(?<![\w.>])[A-Za-z_]\w*(?:\[[^\]]*\])?\s*(?:\.|->)\s*"
+               r"\b" + re.escape(name) + r"\b")
+    else:
+        ref = r"(?<![\w.>])(?:this\s*->\s*)?\b" + re.escape(name)
     return [
         # name = / name[i] = / name += ... (not ==, <=, >=, !=)
         re.compile(ref + r"\s*(?:\[[^\]]*\]\s*)?"
@@ -111,14 +124,17 @@ def run(files: list[SourceFile]) -> list[Finding]:
                 if sf.allows(CHECK, fld.line):
                     continue
                 cands.append(fld)
-            if cands and ci.name not in owners:
-                owners[ci.name] = (ci, cands)
+            if cands and ci.qualified not in owners:
+                owners[ci.qualified] = (ci, cands)
     if not owners:
         return findings
 
-    # Pass B: every method body of an owner class (including out-of-line
-    # definitions in .cc files), with lambdas split out as non-lifecycle
-    # pseudo-methods -- their bodies run on worker threads.
+    # Pass B: every method body of an owner class, or of the class
+    # enclosing a nested owner (including out-of-line definitions in .cc
+    # files), with lambdas split out as non-lifecycle pseudo-methods --
+    # their bodies run on worker threads.
+    names = {ci.name for ci, _ in owners.values()}
+    enclosing = {ci.enclosing for ci, _ in owners.values() if ci.enclosing}
     bodies: dict[str, list[tuple[FunctionInfo, str]]] = {}
     for sf in files:
         if not _in_scope(sf):
@@ -126,7 +142,7 @@ def run(files: list[SourceFile]) -> list[Finding]:
         classes = parse_classes(sf)
         counter = [0]
         for fn in parse_functions(sf, classes):
-            if fn.cls not in owners:
+            if fn.cls not in names and fn.cls not in enclosing:
                 continue
             blanked, lambdas = extract_lambdas(sf, fn, counter)
             bodies.setdefault(fn.cls, []).append((fn, blanked))
@@ -136,22 +152,16 @@ def run(files: list[SourceFile]) -> list[Finding]:
 
     for cls in sorted(owners):
         ci, cands = owners[cls]
-        methods = bodies.get(cls, [])
+        # (class whose methods are searched, write regexes for a field)
+        scopes = [(ci.name, _write_res)]
+        if ci.enclosing:
+            scopes.append((ci.enclosing,
+                           lambda name: _write_res(name, through_object=True)))
         for fld in cands:
-            res = _write_res(fld.name)
             site: tuple[FunctionInfo, int] | None = None
-            for fn, body in methods:
-                lifecycle = (not fn.is_lambda
-                             and (fn.name == cls or fn.name == "~" + cls
-                                  or fn.name in LIFECYCLE_NAMES))
-                if lifecycle:
-                    continue
-                for wre in res:
-                    m = wre.search(body)
-                    if m:
-                        site = (fn,
-                                fn.file.line_of(fn.body_start + m.start()))
-                        break
+            for scope, write_res in scopes:
+                site = _first_write(bodies.get(scope, []), scope,
+                                    write_res(fld.name))
                 if site:
                     break
             if site is None:
@@ -165,6 +175,22 @@ def run(files: list[SourceFile]) -> list[Finding]:
                 f"it, make it atomic, or justify with "
                 f"`// muppet-lint: allow(guarded): why`"))
     return findings
+
+
+def _first_write(methods: list[tuple[FunctionInfo, str]], cls: str,
+                 res: list[re.Pattern]) -> tuple[FunctionInfo, int] | None:
+    """The first write matching `res` outside `cls`'s lifecycle methods."""
+    for fn, body in methods:
+        lifecycle = (not fn.is_lambda
+                     and (fn.name == cls or fn.name == "~" + cls
+                          or fn.name in LIFECYCLE_NAMES))
+        if lifecycle:
+            continue
+        for wre in res:
+            m = wre.search(body)
+            if m:
+                return fn, fn.file.line_of(fn.body_start + m.start())
+    return None
 
 
 def _base_type(type_text: str) -> str:

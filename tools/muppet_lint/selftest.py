@@ -97,6 +97,12 @@ def main() -> int:
           "ctor-only member not flagged")
     check("bad_guarded", "guarded_" not in out,
           "annotated member not flagged")
+    check("bad_guarded", "Stripe::stripe_hits" in out,
+          "stripe member written through a reference flagged")
+    check("bad_guarded", "stripe_total" not in out,
+          "annotated stripe member not flagged")
+    check("bad_guarded", "stripe_limit" not in out,
+          "stripe member set only by the enclosing constructor not flagged")
 
     rc, out = _run("bad_suppression")
     check("bad_suppression", rc == 1, f"exit 1 (got {rc})")
