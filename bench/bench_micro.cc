@@ -246,6 +246,32 @@ void BM_SlateCacheFetchUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_SlateCacheFetchUpdate)->Threads(1)->Threads(3)->UseRealTime();
 
+void BM_SlateCacheOneWorker(benchmark::State& state) {
+  // The same two calls on a cache only one thread uses, as a Muppet 1.0
+  // updater worker uses its own: range(0) resident slates in a cache of
+  // range(1). 16,384 is the per-worker share of the default budget with
+  // one updater worker per machine, and is striped into 4 shards.
+  const int keys = static_cast<int>(state.range(0));
+  std::vector<SlateId> ids;
+  for (int i = 0; i < keys; ++i) {
+    ids.push_back(SlateId{"count", "key" + std::to_string(i)});
+  }
+  SlateCache cache({.capacity = static_cast<size_t>(state.range(1))},
+                   [](const SlateCache::DirtySlate&) { return Status::OK(); });
+  for (const SlateId& id : ids) (void)cache.Insert(id, Bytes(16, 's'));
+  Rng rng(0x51a7e);
+  Bytes value;
+  bool absent = false;
+  for (auto _ : state) {
+    const SlateId& id = ids[rng.Uniform(static_cast<uint64_t>(keys))];
+    benchmark::DoNotOptimize(cache.LookupWithAbsent(id, &value, &absent));
+    benchmark::DoNotOptimize(
+        cache.Update(id, value, /*now=*/1, /*write_through=*/false));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SlateCacheOneWorker)->Args({2000, 16384})->Args({16000, 16384});
+
 }  // namespace
 }  // namespace muppet
 

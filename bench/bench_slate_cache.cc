@@ -20,7 +20,10 @@ void HitRateVsCapacity() {
          "slates)");
   Table table({"capacity", "accesses", "hit%", "store_writes(evict)"});
   constexpr int kAccesses = 200000;
-  for (const size_t capacity : {100u, 1000u, 10000u, 50000u}) {
+  // 8,192 and 16,384 are Muppet 1.0's per-worker shares of the default
+  // 16,384-slate machine budget with two and with one updater worker.
+  for (const size_t capacity :
+       {100u, 1000u, 8192u, 10000u, 16384u, 50000u}) {
     int64_t store_writes = 0;
     SlateCache cache(
         SlateCacheOptions{capacity},

@@ -80,12 +80,13 @@ class Histogram {
 
   static constexpr int kNumBuckets = 256;
 
+ private:
+  friend struct HistogramPeer;  // tests/common/metrics_test.cc
+
   // Geometric bucket of `value`: floor(log(value) / log(1.08)), clamped to
   // [0, kNumBuckets); values < 1 count as 1. Looked up in a table of
   // bucket edges, not computed with std::log.
   static int BucketFor(int64_t value);
-
- private:
   static int64_t BucketValue(int bucket);
 
   std::atomic<int64_t> buckets_[kNumBuckets];

@@ -1,9 +1,9 @@
 #include "core/slate_cache.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
-#include "common/hash.h"
 #include "common/logging.h"
 
 namespace muppet {
@@ -32,21 +32,26 @@ SlateCache::SlateCache(SlateCacheOptions options, WriteBack write_back)
   }
 }
 
-SlateCache::Shard& SlateCache::ShardFor(const SlateId& id) const {
+SlateCache::Shard& SlateCache::ShardFor(const HashedId& key) const {
   if (num_shards_ == 1) return shards_[0];
-  // Mixed, so the shard does not correlate with the index's hash buckets.
-  return shards_[Mix64(SlateIdHash()(id)) % num_shards_];
+  // Fibonacci hashing onto [0, N): the top bits of hash * 2^64/phi, so
+  // the shard does not correlate with the index's buckets (hash mod a
+  // prime), at two multiplies instead of a mix and a division.
+  const uint64_t mixed =
+      static_cast<uint64_t>(key.hash) * 0x9e3779b97f4a7c15ULL;
+  return shards_[((mixed >> 32) * num_shards_) >> 32];
 }
 
-SlateCache::Entry* SlateCache::UpsertLocked(Shard& shard, const SlateId& id) {
-  auto it = shard.index.find(id);
+SlateCache::Entry* SlateCache::UpsertLocked(Shard& shard,
+                                            const HashedId& key) {
+  auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // Move to MRU position.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return &*it->second;
   }
-  shard.lru.push_front(Entry{id, Bytes(), false, false, 0, 0});
-  shard.index[id] = shard.lru.begin();
+  shard.lru.push_front(Entry{key.id, Bytes(), false, false, 0, 0});
+  shard.index.emplace(key.id, shard.lru.begin());
   return &shard.lru.front();
 }
 
@@ -85,9 +90,10 @@ Status SlateCache::Lookup(const SlateId& id, Bytes* value) {
 
 Status SlateCache::LookupWithAbsent(const SlateId& id, Bytes* value,
                                     bool* absent) {
-  Shard& shard = ShardFor(id);
+  const HashedId key = Hashed(id);
+  Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
-  auto it = shard.index.find(id);
+  auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     shard.misses.Add();
     return Status::NotFound("slate cache: miss");
@@ -100,9 +106,10 @@ Status SlateCache::LookupWithAbsent(const SlateId& id, Bytes* value,
 }
 
 Status SlateCache::Insert(const SlateId& id, BytesView value) {
-  Shard& shard = ShardFor(id);
+  const HashedId key = Hashed(id);
+  Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
-  Entry* e = UpsertLocked(shard, id);
+  Entry* e = UpsertLocked(shard, key);
   e->value.assign(value);
   e->absent = false;
   // A fetched slate is clean by definition.
@@ -112,9 +119,10 @@ Status SlateCache::Insert(const SlateId& id, BytesView value) {
 }
 
 void SlateCache::InsertAbsent(const SlateId& id) {
-  Shard& shard = ShardFor(id);
+  const HashedId key = Hashed(id);
+  Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
-  Entry* e = UpsertLocked(shard, id);
+  Entry* e = UpsertLocked(shard, key);
   if (e->dirty) return;  // an update raced in; keep the real value
   e->value.clear();
   e->absent = true;
@@ -123,10 +131,11 @@ void SlateCache::InsertAbsent(const SlateId& id) {
 
 Status SlateCache::Update(const SlateId& id, BytesView value, Timestamp now,
                           bool write_through) {
-  Shard& shard = ShardFor(id);
+  const HashedId key = Hashed(id);
+  Shard& shard = ShardFor(key);
   {
     MutexLock lock(shard.mutex);
-    Entry* e = UpsertLocked(shard, id);
+    Entry* e = UpsertLocked(shard, key);
     e->value.assign(value);
     e->absent = false;
     // An older write still in flight may land after this one, so a pinned
@@ -143,17 +152,18 @@ Status SlateCache::Update(const SlateId& id, BytesView value, Timestamp now,
   }
   if (write_through) {
     Status s = write_back_(DirtySlate{id, Bytes(value), /*deleted=*/false});
-    Unpin(shard, id);
+    Unpin(shard, key);
     return s;
   }
   return Status::OK();
 }
 
 Status SlateCache::Delete(const SlateId& id) {
-  Shard& shard = ShardFor(id);
+  const HashedId key = Hashed(id);
+  Shard& shard = ShardFor(key);
   {
     MutexLock lock(shard.mutex);
-    auto it = shard.index.find(id);
+    auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       // Keep a negative entry so a subsequent read doesn't refetch a value
       // the store may still hold briefly.
@@ -164,13 +174,13 @@ Status SlateCache::Delete(const SlateId& id) {
     }
   }
   Status s = write_back_(DirtySlate{id, Bytes(), /*deleted=*/true});
-  Unpin(shard, id);
+  Unpin(shard, key);
   return s;
 }
 
-void SlateCache::Unpin(Shard& shard, const SlateId& id) {
+void SlateCache::Unpin(Shard& shard, const HashedId& key) {
   MutexLock lock(shard.mutex);
-  auto it = shard.index.find(id);
+  auto it = shard.index.find(key);
   if (it == shard.index.end() || it->second->pins == 0) return;
   --it->second->pins;
   (void)EvictIfNeededLocked(shard);

@@ -15,6 +15,11 @@
 // serialize on one lock. N = clamp(capacity / 4096, 1, 16) and the shard
 // capacities sum to `capacity`; a cache under 8,192 slates is a single LRU.
 // Eviction is LRU within a shard. No path holds two shard mutexes at once.
+// The rule reads only the capacity, so a Muppet 1.0 per-worker cache is
+// striped too (4 shards for the default 16,384-slate budget and one
+// updater worker per machine) although only its worker and the flusher
+// touch it; the id is hashed once per call for both the shard and the
+// index, so a single-threaded cache pays no measurable cost for it.
 #ifndef MUPPET_CORE_SLATE_CACHE_H_
 #define MUPPET_CORE_SLATE_CACHE_H_
 
@@ -122,6 +127,31 @@ class SlateCache {
   };
   using LruList = std::list<Entry>;
 
+  // A slate id with its SlateIdHash, computed once per call: the hash
+  // picks the shard and is reused by the shard index's lookup, so striping
+  // adds no second string hash.
+  struct HashedId {
+    const SlateId& id;
+    size_t hash;
+  };
+  struct IndexHash {
+    using is_transparent = void;
+    size_t operator()(const SlateId& id) const { return SlateIdHash()(id); }
+    size_t operator()(const HashedId& key) const { return key.hash; }
+  };
+  struct IndexEq {
+    using is_transparent = void;
+    bool operator()(const SlateId& a, const SlateId& b) const {
+      return a == b;
+    }
+    bool operator()(const HashedId& a, const SlateId& b) const {
+      return a.id == b;
+    }
+    bool operator()(const SlateId& a, const HashedId& b) const {
+      return a == b.id;
+    }
+  };
+
   struct ShardMutex : Mutex {
     ShardMutex() : Mutex(kLockLevel) {}
   };
@@ -130,22 +160,25 @@ class SlateCache {
     mutable ShardMutex mutex;
     size_t capacity = 0;  // set once by the constructor
     LruList lru MUPPET_GUARDED_BY(mutex);  // front = most recent
-    std::unordered_map<SlateId, LruList::iterator, SlateIdHash> index
+    std::unordered_map<SlateId, LruList::iterator, IndexHash, IndexEq> index
         MUPPET_GUARDED_BY(mutex);
     Counter hits;
     Counter misses;
     Counter evictions;
   };
 
-  Shard& ShardFor(const SlateId& id) const;
+  static HashedId Hashed(const SlateId& id) {
+    return HashedId{id, SlateIdHash()(id)};
+  }
+  Shard& ShardFor(const HashedId& key) const;
   // Evict unpinned LRU entries beyond the shard's capacity, writing dirty
   // ones back. The write-back runs under the shard lock, which is why the
   // cache sits above the store in the lock hierarchy.
   Status EvictIfNeededLocked(Shard& shard) MUPPET_REQUIRES(shard.mutex);
-  // Release one pin taken before an unlocked write-back of `id`.
-  void Unpin(Shard& shard, const SlateId& id) MUPPET_EXCLUDES(shard.mutex);
+  // Release one pin taken before an unlocked write-back of `key`.
+  void Unpin(Shard& shard, const HashedId& key) MUPPET_EXCLUDES(shard.mutex);
   // Insert or update; requires the shard lock held. Returns the entry.
-  Entry* UpsertLocked(Shard& shard, const SlateId& id)
+  Entry* UpsertLocked(Shard& shard, const HashedId& key)
       MUPPET_REQUIRES(shard.mutex);
 
   SlateCacheOptions options_;

@@ -507,6 +507,7 @@ class FunctionInfo:
     line: int
     header_text: str     # text between name and body (args + qualifiers)
     is_lambda: bool = False
+    qual: str = ""       # qualifier as written: "A::B" for `A::B::Foo() {`
 
     @property
     def key(self) -> str:
@@ -568,7 +569,7 @@ def parse_functions(sf: SourceFile,
         funcs.append(FunctionInfo(
             name=name, cls=cls, file=sf, body_start=body_open + 1,
             body_end=body_close, line=sf.line_of(m.start()),
-            header_text=code[args_open:body_open]))
+            header_text=code[args_open:body_open], qual=qual))
         # Continue scanning *inside* the body too: nested class methods
         # were already captured by the class walk; lambdas are handled by
         # the caller via extract_lambdas. Move past the header only.

@@ -96,10 +96,13 @@ def run(files: list[SourceFile]) -> list[Finding]:
 
     # Pass A: classes owning a mutex, with their candidate fields.
     owners: dict[str, tuple[ClassInfo, list[MemberField]]] = {}
+    nested: set[str] = set()  # every nested class, qualified
     for sf in files:
         if not _in_scope(sf):
             continue
         for ci in parse_classes(sf):
+            if ci.enclosing:
+                nested.add(ci.qualified)
             has_mutex = any(
                 _base_type(f.type_text) in ("Mutex", "SharedMutex")
                 or _is_derived_mutex(ci, f) for f in ci.fields)
@@ -132,9 +135,16 @@ def run(files: list[SourceFile]) -> list[Finding]:
     # Pass B: every method body of an owner class, or of the class
     # enclosing a nested owner (including out-of-line definitions in .cc
     # files), with lambdas split out as non-lifecycle pseudo-methods --
-    # their bodies run on worker threads.
-    names = {ci.name for ci, _ in owners.values()}
-    enclosing = {ci.enclosing for ci, _ in owners.values() if ci.enclosing}
+    # their bodies run on worker threads. Bodies are keyed by qualified
+    # class, so a nested `Cache::Shard` and an unrelated top-level `Shard`
+    # never share a scope.
+    known = set(owners)
+    enclosing_of: dict[str, str] = {}
+    for ci, _ in owners.values():
+        if ci.enclosing:
+            outer = _enclosing_class(ci)
+            enclosing_of[ci.qualified] = outer
+            known.add(outer)
     bodies: dict[str, list[tuple[FunctionInfo, str]]] = {}
     for sf in files:
         if not _in_scope(sf):
@@ -142,25 +152,27 @@ def run(files: list[SourceFile]) -> list[Finding]:
         classes = parse_classes(sf)
         counter = [0]
         for fn in parse_functions(sf, classes):
-            if fn.cls not in names and fn.cls not in enclosing:
+            key = _class_key(fn, classes, nested)
+            if key not in known:
                 continue
             blanked, lambdas = extract_lambdas(sf, fn, counter)
-            bodies.setdefault(fn.cls, []).append((fn, blanked))
+            bodies.setdefault(key, []).append((fn, blanked))
             for lam in lambdas:
-                bodies.setdefault(fn.cls, []).append(
+                bodies.setdefault(key, []).append(
                     (lam, sf.code[lam.body_start:lam.body_end]))
 
     for cls in sorted(owners):
         ci, cands = owners[cls]
-        # (class whose methods are searched, write regexes for a field)
-        scopes = [(ci.name, _write_res)]
-        if ci.enclosing:
-            scopes.append((ci.enclosing,
+        # (qualified class whose methods are searched, its short name for
+        # the lifecycle set, write regexes for a field)
+        scopes = [(cls, ci.name, _write_res)]
+        if cls in enclosing_of:
+            scopes.append((enclosing_of[cls], ci.enclosing,
                            lambda name: _write_res(name, through_object=True)))
         for fld in cands:
             site: tuple[FunctionInfo, int] | None = None
-            for scope, write_res in scopes:
-                site = _first_write(bodies.get(scope, []), scope,
+            for scope, short, write_res in scopes:
+                site = _first_write(bodies.get(scope, []), short,
                                     write_res(fld.name))
                 if site:
                     break
@@ -191,6 +203,37 @@ def _first_write(methods: list[tuple[FunctionInfo, str]], cls: str,
             if m:
                 return fn, fn.file.line_of(fn.body_start + m.start())
     return None
+
+
+def _enclosing_class(ci: ClassInfo) -> str:
+    """Qualified name of the class whose body holds nested class `ci`."""
+    for c in parse_classes(ci.file):
+        if (c.name == ci.enclosing
+                and c.body_start <= ci.start < c.body_end):
+            return c.qualified
+    return ci.enclosing
+
+
+def _class_key(fn: FunctionInfo, classes: list[ClassInfo],
+               nested: set[str]) -> str:
+    """Qualified class of a method, as ClassInfo.qualified spells it.
+
+    An in-class definition belongs to the innermost class whose body holds
+    it; an out-of-line one is named by its last two qualifier components
+    (`Outer::Inner::Foo`) when those name a nested class in `nested`, and
+    otherwise by its last one.
+    """
+    inner: ClassInfo | None = None
+    for c in classes:
+        if (c.body_start <= fn.body_start < c.body_end
+                and (inner is None or c.body_start > inner.body_start)):
+            inner = c
+    if inner is not None:
+        return inner.qualified
+    parts = fn.qual.split("::") if fn.qual else []
+    if len(parts) >= 2 and "::".join(parts[-2:]) in nested:
+        return "::".join(parts[-2:])
+    return parts[-1] if parts else ""
 
 
 def _base_type(type_text: str) -> str:

@@ -102,7 +102,10 @@ def main() -> int:
     check("bad_guarded", "stripe_total" not in out,
           "annotated stripe member not flagged")
     check("bad_guarded", "stripe_limit" not in out,
-          "stripe member set only by the enclosing constructor not flagged")
+          "stripe member set only by the enclosing constructor not flagged, "
+          "though a same-named top-level class writes its own")
+    check("bad_guarded", "Stripe::lone_writes" in out,
+          "top-level class's out-of-line write flagged")
 
     rc, out = _run("bad_suppression")
     check("bad_suppression", rc == 1, f"exit 1 (got {rc})")
