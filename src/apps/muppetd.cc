@@ -19,7 +19,7 @@
 //     "engine": {                      // optional overrides
 //       "threads_per_machine": 2,
 //       "queue_capacity": 1024,
-//       "overflow_policy": "throttle"  // drop | overflow_stream | throttle
+//       "overflow_policy": "throttle"  // drop | throttle
 //     },
 //     "durability": {
 //       "mode": "exactly_once",        // lossy | at_least_once | exactly_once
@@ -47,6 +47,7 @@
 #include <string>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/hot_topics.h"
@@ -82,7 +83,30 @@ struct ClusterSpec {
   muppet::Json engine;      // raw "engine" object (may be null)
   muppet::Json durability;  // raw "durability" object (may be null)
   muppet::Json slo;         // raw "slo" object (may be null)
+  // Validated from "engine" / "durability".
+  muppet::OverflowPolicy overflow_policy = muppet::OverflowPolicy::kDrop;
+  muppet::Consistency consistency = muppet::Consistency::kLossy;
 };
+
+// A config string mapped to its enum; an unknown value is an error that
+// names the field and the value, never a silent default. (No muppetd app
+// declares an overflow stream, so "overflow_stream" could never start.)
+template <typename T>
+muppet::Status ParseChoice(
+    const std::string& field, const std::string& value,
+    const std::vector<std::pair<std::string, T>>& choices, T* out) {
+  std::string names;
+  for (const auto& [name, choice] : choices) {
+    if (name == value) {
+      *out = choice;
+      return muppet::Status::OK();
+    }
+    names += (names.empty() ? "" : " | ") + name;
+  }
+  return muppet::Status::InvalidArgument("config: unknown " + field +
+                                         " \"" + value + "\" (expected " +
+                                         names + ")");
+}
 
 muppet::Status ParseCluster(const std::string& text, ClusterSpec* out) {
   muppet::Result<muppet::Json> parsed = muppet::Json::Parse(text);
@@ -95,6 +119,22 @@ muppet::Status ParseCluster(const std::string& text, ClusterSpec* out) {
   out->engine = root["engine"];
   out->durability = root["durability"];
   out->slo = root["slo"];
+  if (out->engine.is_object()) {
+    MUPPET_RETURN_IF_ERROR(ParseChoice<muppet::OverflowPolicy>(
+        "engine.overflow_policy",
+        out->engine.GetString("overflow_policy", "drop"),
+        {{"drop", muppet::OverflowPolicy::kDrop},
+         {"throttle", muppet::OverflowPolicy::kThrottle}},
+        &out->overflow_policy));
+  }
+  if (out->durability.is_object()) {
+    MUPPET_RETURN_IF_ERROR(ParseChoice<muppet::Consistency>(
+        "durability.mode", out->durability.GetString("mode", "lossy"),
+        {{"lossy", muppet::Consistency::kLossy},
+         {"at_least_once", muppet::Consistency::kAtLeastOnce},
+         {"exactly_once", muppet::Consistency::kExactlyOnce}},
+        &out->consistency));
+  }
   const muppet::Json& nodes = root["nodes"];
   if (!nodes.is_array() || nodes.size() == 0) {
     return muppet::Status::InvalidArgument("config: missing nodes[]");
@@ -256,25 +296,12 @@ int main(int argc, char** argv) {
         cluster.engine.GetInt("threads_per_machine", 2));
     options.queue_capacity = static_cast<size_t>(
         cluster.engine.GetInt("queue_capacity", 1024));
-    const std::string policy =
-        cluster.engine.GetString("overflow_policy", "drop");
-    if (policy == "overflow_stream") {
-      options.overflow.policy = muppet::OverflowPolicy::kOverflowStream;
-    } else if (policy == "throttle") {
-      options.overflow.policy = muppet::OverflowPolicy::kThrottle;
-    } else {
-      options.overflow.policy = muppet::OverflowPolicy::kDrop;
-    }
   } else {
     options.threads_per_machine = 2;
   }
+  options.overflow.policy = cluster.overflow_policy;
+  options.durability.consistency = cluster.consistency;
   if (cluster.durability.is_object()) {
-    const std::string mode = cluster.durability.GetString("mode", "lossy");
-    if (mode == "at_least_once") {
-      options.durability.consistency = muppet::Consistency::kAtLeastOnce;
-    } else if (mode == "exactly_once") {
-      options.durability.consistency = muppet::Consistency::kExactlyOnce;
-    }
     const std::string dir = cluster.durability.GetString("dir", "");
     if (!dir.empty()) {
       // Per-node state directory: nodes on one host must not share

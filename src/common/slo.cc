@@ -14,6 +14,23 @@ std::string WindowLabel(Timestamp window_micros) {
   return std::to_string(window_micros / kMicrosPerSecond) + "s";
 }
 
+// A net hop ends when its event enters the receiving machine's queue. The
+// sender closes its hop span only when the send call returns, and on the
+// in-process fabric the receiver has enqueued inside that call, so the
+// hop is cut at the first queue wait on the receiver (the N of the hop's
+// "->mN" name) that starts within it.
+Timestamp HopDuration(const Span& hop, const std::vector<Span>& spans) {
+  Timestamp end = hop.end_us;
+  for (const Span& span : spans) {
+    if (span.kind == SpanKind::kQueueWait && span.start_us >= hop.start_us &&
+        span.start_us < end &&
+        hop.name == "->m" + std::to_string(span.machine)) {
+      end = span.start_us;
+    }
+  }
+  return std::max<Timestamp>(0, end - hop.start_us);
+}
+
 }  // namespace
 
 CriticalPath ComputeCriticalPath(const std::vector<Span>& spans) {
@@ -65,7 +82,7 @@ CriticalPath ComputeCriticalPath(const std::vector<Span>& spans) {
         }
         break;
       case SpanKind::kNetHop:
-        path.net_hop_us += d;
+        path.net_hop_us += HopDuration(span, spans);
         break;
     }
   }

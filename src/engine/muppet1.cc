@@ -321,71 +321,24 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
   // loop, so the span absorbs throttle waits like a real wire would. 1.0
   // serializes even same-machine sends, but only a cross-machine send is
   // a network hop.
+  const MachineId to = target.value().machine;
   ScopedSpan hop;
-  if (target.value().machine != from) {
+  if (to != from) {
     hop.Begin(SinkFor(from), clock_, event.trace, SpanKind::kNetHop, from,
-              "->m" + std::to_string(target.value().machine));
+              "->m" + std::to_string(to));
   }
 
   const uint64_t signature = EventFaultSignature(re);
-  int attempts = 0;
-  const int kMaxThrottleRetries = 50;
-  while (true) {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    Status s =
-        transport_->Send(from, target.value().machine, payload, signature);
-    if (s.ok()) return;
-    DecInflight(1);
-
-    if (s.IsUnavailable()) {
-      // Failure detected on send (§4.3): report to the master, which
-      // broadcasts; the event itself is lost, not re-dispatched.
-      master_.ReportFailure(target.value().machine);
-      lost_failure_->Add();
-      MUPPET_LOG(kWarning) << "engine: machine " << target.value().machine
-                           << " unreachable; event logged as lost";
-      return;
-    }
-    if (!s.IsResourceExhausted()) {
-      lost_failure_->Add();
-      return;
-    }
-
-    // Queue overflow (§4.3): apply the configured policy.
-    switch (options_.overflow.policy) {
-      case OverflowPolicy::kDrop:
-        dropped_overflow_->Add();
-        MUPPET_LOG(kDebug) << "engine: queue full, event dropped";
-        return;
-      case OverflowPolicy::kOverflowStream: {
-        if (event.stream == options_.overflow.overflow_stream) {
-          dropped_overflow_->Add();  // the degraded path is itself full
-          return;
-        }
-        redirected_overflow_->Add();
+  SendWithPolicy(
+      to, /*charge=*/true,
+      /*own_queue=*/sender != nullptr && target.value() == sender->ref,
+      event.stream,
+      [&] { return transport_->Send(from, to, payload, signature); },
+      [&] {
         Event redirected = event;
         redirected.stream = options_.overflow.overflow_stream;
         DeliverEvent(from, sender, redirected);
-        return;
-      }
-      case OverflowPolicy::kThrottle: {
-        throttle_.NoteOverflow();
-        // Emitting back into a queue this worker itself drains can never
-        // succeed by waiting — that is the paper's §5 deadlock scenario.
-        if (sender != nullptr && target.value() == sender->ref) {
-          deadlocks_avoided_->Add();
-          dropped_overflow_->Add();
-          return;
-        }
-        if (++attempts > kMaxThrottleRetries) {
-          dropped_overflow_->Add();
-          return;
-        }
-        clock_->SleepFor(200);
-        continue;
-      }
-    }
-  }
+      });
 }
 
 Status Muppet1Engine::HandleIncoming(MachineId to, BytesView payload) {

@@ -261,9 +261,12 @@ Status Muppet2Engine::Start() {
   for (auto& machine : machines_) {
     if (machine == nullptr) continue;
     const MachineId id = machine->id;
+    // 2.0 machines exchange batch frames only; no sender addresses one
+    // with a single payload.
     MUPPET_RETURN_IF_ERROR(transport_->RegisterMachine(
-        id, [this, id](MachineId from, BytesView payload) {
-          return HandleIncoming(from, id, payload);
+        id, [](MachineId, BytesView) {
+          return Status::FailedPrecondition(
+              "muppet2: machines accept batch frames only");
         }));
     MUPPET_RETURN_IF_ERROR(transport_->RegisterBatchHandler(
         id, [this, id](MachineId from, BytesView frame, size_t count,
@@ -421,59 +424,23 @@ void Muppet2Engine::LocalDeliver(MachineId machine_id, uint64_t sender_work,
     return;
   }
   if (machine->crashed.load(std::memory_order_acquire)) {
-    // Matches the transport Unavailable path: a failed delivery is how
-    // crashes are detected (§4.3).
-    master_.ReportFailure(machine_id);
-    lost_failure_->Add();
+    // Settled as the transport's Unavailable would be: a failed delivery
+    // is how crashes are detected (§4.3).
+    SettleFailedSend(Status::Unavailable("machine crashed"), machine_id, 1);
     return;
   }
   transport_->CountLocalDelivery();
-
-  int attempts = 0;
-  const int kMaxThrottleRetries = 50;
-  while (true) {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    Status s = Dispatch(machine, &re);
-    if (s.ok()) return;
-    DecInflight(1);
-
-    if (!s.IsResourceExhausted()) {
-      lost_failure_->Add();
-      return;
-    }
-    switch (options_.overflow.policy) {
-      case OverflowPolicy::kDrop:
-        dropped_overflow_->Add();
-        return;
-      case OverflowPolicy::kOverflowStream: {
-        if (re.event.stream == options_.overflow.overflow_stream) {
-          dropped_overflow_->Add();
-          return;
-        }
-        redirected_overflow_->Add();
+  // A worker emitting to its own (function, key) work unit lands on the
+  // queues it drains itself.
+  SendWithPolicy(
+      machine_id, /*charge=*/true,
+      /*own_queue=*/sender_work != 0 && re.work == sender_work,
+      re.event.stream, [&] { return Dispatch(machine, &re); },
+      [&] {
         Event redirected = std::move(re.event);
         redirected.stream = options_.overflow.overflow_stream;
         DeliverEvent(machine_id, sender_work, std::move(redirected));
-        return;
-      }
-      case OverflowPolicy::kThrottle: {
-        throttle_.NoteOverflow();
-        // A worker emitting to its own (function,key) work unit while its
-        // queues are full can never make progress by waiting (§5).
-        if (sender_work != 0 && re.work == sender_work) {
-          deadlocks_avoided_->Add();
-          dropped_overflow_->Add();
-          return;
-        }
-        if (++attempts > kMaxThrottleRetries) {
-          dropped_overflow_->Add();
-          return;
-        }
-        clock_->SleepFor(200);
-        continue;
-      }
-    }
-  }
+      });
 }
 
 void Muppet2Engine::FlushRemoteBatch(MachineId from, uint64_t sender_work,
@@ -525,16 +492,7 @@ void Muppet2Engine::FlushRemoteBatch(MachineId from, uint64_t sender_work,
   }
   if (s.ok()) return;
   if (tracked) DecInflight(static_cast<int64_t>(n - accepted));
-
-  if (s.IsUnavailable()) {
-    master_.ReportFailure(to);
-    lost_failure_->Add(static_cast<int64_t>(n - accepted));
-    return;
-  }
-  if (!s.IsResourceExhausted()) {
-    lost_failure_->Add(static_cast<int64_t>(n - accepted));
-    return;
-  }
+  if (SettleFailedSend(s, to, static_cast<int64_t>(n - accepted))) return;
   // The receiver took a prefix and declined the rest; the remainder goes
   // through the per-event overflow path (§4.3).
   for (size_t i = accepted; i < n; ++i) {
@@ -560,99 +518,19 @@ void Muppet2Engine::RemoteDeliverOne(MachineId from, uint64_t sender_work,
   hop.Begin(SinkFor(from), clock_, re.event.trace, SpanKind::kNetHop, from,
             "->m" + std::to_string(to));
 
-  const bool tracked = Hosted(to);
-  int attempts = 0;
-  const int kMaxThrottleRetries = 50;
-  while (true) {
-    size_t accepted = 0;
-    if (tracked) inflight_.fetch_add(1, std::memory_order_acq_rel);
-    Status s = transport_->SendBatch(from, to, frame, 1, &accepted, signature);
-    if (s.ok()) return;
-    if (tracked) DecInflight(1);
-
-    if (s.IsUnavailable()) {
-      master_.ReportFailure(to);
-      lost_failure_->Add();
-      return;
-    }
-    if (!s.IsResourceExhausted()) {
-      lost_failure_->Add();
-      return;
-    }
-    switch (options_.overflow.policy) {
-      case OverflowPolicy::kDrop:
-        dropped_overflow_->Add();
-        return;
-      case OverflowPolicy::kOverflowStream: {
-        if (re.event.stream == options_.overflow.overflow_stream) {
-          dropped_overflow_->Add();
-          return;
-        }
-        redirected_overflow_->Add();
+  // `to` is another machine, never the sender's own queue.
+  SendWithPolicy(
+      to, /*charge=*/Hosted(to), /*own_queue=*/false, re.event.stream,
+      [&] {
+        size_t accepted = 0;
+        return transport_->SendBatch(from, to, frame, 1, &accepted,
+                                     signature);
+      },
+      [&] {
         Event redirected = std::move(re.event);
         redirected.stream = options_.overflow.overflow_stream;
         DeliverEvent(from, sender_work, std::move(redirected));
-        return;
-      }
-      case OverflowPolicy::kThrottle: {
-        throttle_.NoteOverflow();
-        if (sender_work != 0 && re.work == sender_work && to == from) {
-          deadlocks_avoided_->Add();
-          dropped_overflow_->Add();
-          return;
-        }
-        if (++attempts > kMaxThrottleRetries) {
-          dropped_overflow_->Add();
-          return;
-        }
-        clock_->SleepFor(200);
-        continue;
-      }
-    }
-  }
-}
-
-Status Muppet2Engine::HandleIncoming(MachineId from, MachineId to,
-                                     BytesView payload) {
-  MachineCtx* machine = Ctx(to);
-  if (machine == nullptr) {
-    return Status::Unavailable("machine not hosted here");
-  }
-  if (machine->crashed.load()) {
-    return Status::Unavailable("machine crashed");
-  }
-  RoutedEvent re;
-  MUPPET_RETURN_IF_ERROR(DecodeRoutedEvent(payload, &re));
-  const int32_t fid = op_names_.Find(re.function);
-  if (fid < 0) return Status::NotFound("unknown function");
-  re.function_id = fid;
-  re.work = CombineWork(ops_[static_cast<size_t>(fid)].name_hash,
-                        Fnv1a64(re.event.key));
-  // A sender in another process never touched this engine's inflight_;
-  // charge it here so Drain()/watchdog accounting tracks the event until
-  // a worker settles it (the DecInflight calls below balance this charge
-  // exactly as they balance an in-process sender's).
-  const bool external = !Hosted(from);
-  if (external) inflight_.fetch_add(1, std::memory_order_acq_rel);
-  const uint64_t dedup_id =
-      (re.ctl == kCtlNone && machine->dedup != nullptr) ? re.dedup : 0;
-  // Reserve the identity atomically before dispatch: a check-then-record
-  // pattern would let two concurrent deliveries of the same identity (a
-  // redelivered batch racing the original during recovery) both pass the
-  // check and double-apply the event.
-  if (dedup_id != 0 && !machine->dedup->CheckAndInsert(dedup_id)) {
-    deduped_->Add();
-    DecInflight(1);
-    return Status::OK();
-  }
-  Status s = Dispatch(machine, &re);
-  // A declined push (queue full) is retried by the sender; unwind the
-  // reservation so the retry is not mistaken for a duplicate.
-  if (!s.ok()) {
-    if (dedup_id != 0) machine->dedup->Remove(dedup_id);
-    if (external) DecInflight(1);
-  }
-  return s;
+      });
 }
 
 Status Muppet2Engine::HandleIncomingFrame(MachineId from, MachineId to,
@@ -721,8 +599,8 @@ Status Muppet2Engine::HandleIncomingFrame(MachineId from, MachineId to,
 }
 
 Status Muppet2Engine::Dispatch(MachineCtx* machine, RoutedEvent* re) {
-  // All enqueue paths (local fast path, remote frames, legacy payloads)
-  // funnel through here, so the queue-wait measurement starts now: a span
+  // Both enqueue paths (the local fast path and remote frames) funnel
+  // through here, so the queue-wait measurement starts now: a span
   // for traced events, the muppet_queue_wait_us histogram for all events
   // (the load manager's before/after-split p99 signal).
   re->enqueue_ts = clock_->Now();
@@ -947,7 +825,8 @@ Status Muppet2Engine::ProcessControl(MachineCtx* machine,
       delta.event.key = re.event.key;
       delta.event.value = std::move(slate);
       delta.event.seq = NextSeq();
-      SendControl(machine->id, re.work, re.event.key, std::move(delta));
+      emitted_->Add();  // settled as processed by the base key's owner
+      RouteOne(machine->id, re.work, re.event.key, std::move(delta));
     }
     processed_->Add();
     return Status::OK();
@@ -996,28 +875,14 @@ void Muppet2Engine::ReshardToBase(MachineCtx* machine,
   if (exactly_once()) {
     base.dedup = DedupIdentity(base.work, base.event.ts, base.event.seq);
   }
-  const std::set<MachineId> failed = FailedSetFor(machine->id);
-  Result<WorkerRef> target =
-      ring_.Route(op.spec->name, base.event.key, failed);
-  if (!target.ok()) {
-    lost_failure_->Add();
-    return;
-  }
-  const MachineId to = target.value().machine;
-  if (to == machine->id) {
-    LocalDeliver(machine->id, re.work, std::move(base));
-  } else {
-    RemoteDeliverOne(machine->id, re.work, to, std::move(base));
-  }
+  // `re` keeps the key `base` was copied from, so the route key outlives
+  // the move.
+  RouteOne(machine->id, re.work, re.event.key, std::move(base));
 }
 
-void Muppet2Engine::SendControl(MachineId from, uint64_t sender_work,
-                                BytesView route_key, RoutedEvent re) {
+void Muppet2Engine::RouteOne(MachineId from, uint64_t sender_work,
+                             BytesView route_key, RoutedEvent re) {
   const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
-  // Injection counts emitted_; every downstream path settles it exactly
-  // once (processed on consumption, lost/dropped on failure) through the
-  // shared delivery machinery.
-  emitted_->Add();
   const std::set<MachineId> failed = FailedSetFor(from);
   Result<WorkerRef> target = ring_.Route(op.spec->name, route_key, failed);
   if (!target.ok()) {
@@ -1264,9 +1129,10 @@ void Muppet2Engine::InjectMergeSweeps(int32_t function_id, const Bytes& key,
     re.event.key = key;
     re.event.seq = NextSeq();
     // The publisher machine (lowest hosted id; §4.1, never a chaos crash
-    // victim) originates engine-wide control traffic.
-    SendControl(publish_machine_, /*sender_work=*/0, shard_key,
-                std::move(re));
+    // victim) originates engine-wide control traffic. The sweep counts as
+    // emitted; its consumer counts it processed.
+    emitted_->Add();
+    RouteOne(publish_machine_, /*sender_work=*/0, shard_key, std::move(re));
   }
 }
 

@@ -149,11 +149,12 @@ class Muppet2Engine final : public EngineRuntime {
   // wherever it finally lands.
   void ReshardToBase(MachineCtx* machine, const RoutedEvent& re);
 
-  // Inject one engine-manufactured control event, routed by `route_key`
-  // over the live ring. Counts emitted_ (the consumer counts processed_),
-  // so chaos conservation accounting stays exact.
-  void SendControl(MachineId from, uint64_t sender_work, BytesView route_key,
-                   RoutedEvent re);
+  // Route one engine-made event (a control event, or a stale shard event
+  // re-entering under its base key) by `route_key` over the live ring and
+  // deliver it, locally or as a one-event frame. Counts nothing itself: a
+  // control event's injector counts emitted_, its consumer processed_.
+  void RouteOne(MachineId from, uint64_t sender_work, BytesView route_key,
+                RoutedEvent re);
 
   // Self-tuning load-management control loop (one engine-wide thread).
   void LoadManagerLoop();
@@ -170,11 +171,7 @@ class Muppet2Engine final : public EngineRuntime {
   // handling. ResourceExhausted when both candidate queues are full.
   Status Dispatch(MachineCtx* machine, RoutedEvent* re);
 
-  // Legacy name-addressed single-event payloads (Muppet 1.0 wire format).
-  // `from` distinguishes in-process senders (which pre-charged inflight_)
-  // from remote processes (the receiver charges it here).
-  Status HandleIncoming(MachineId from, MachineId to, BytesView payload);
-  // Id-addressed batch frames — the 2.0 cross-machine format. *accepted
+  // Id-addressed batch frames, the only 2.0 cross-machine format. *accepted
   // is in-out (the Transport::BatchHandler resume contract): events below
   // the entry value were accepted by an earlier partial delivery of this
   // same frame and are skipped, not re-applied.

@@ -514,6 +514,61 @@ void EngineRuntime::DecInflight(int64_t n) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Send policy (§4.3, §5).
+// ---------------------------------------------------------------------------
+
+bool EngineRuntime::SettleFailedSend(const Status& s, MachineId to,
+                                     int64_t n) {
+  if (s.IsResourceExhausted()) return false;
+  if (s.IsUnavailable()) master_.ReportFailure(to);
+  lost_failure_->Add(n);
+  MUPPET_LOG(kDebug) << "engine: send to machine " << to << " failed ("
+                     << s.ToString() << "); " << n << " event(s) lost";
+  return true;
+}
+
+EngineRuntime::Declined EngineRuntime::OnDeclined(const Status& s,
+                                                  MachineId to,
+                                                  bool own_queue,
+                                                  const std::string& stream,
+                                                  int* attempts) {
+  // Throttling waits at most this long for a declining queue to drain.
+  constexpr int kMaxThrottleRetries = 50;
+  constexpr Timestamp kThrottleRetryMicros = 200;
+
+  if (SettleFailedSend(s, to, 1)) return Declined::kSettled;
+  switch (options_.overflow.policy) {
+    case OverflowPolicy::kDrop:
+      dropped_overflow_->Add();
+      MUPPET_LOG(kDebug) << "engine: queue full, event dropped";
+      return Declined::kSettled;
+    case OverflowPolicy::kOverflowStream:
+      if (stream == options_.overflow.overflow_stream) {
+        dropped_overflow_->Add();  // the degraded path is itself full
+        return Declined::kSettled;
+      }
+      redirected_overflow_->Add();
+      return Declined::kRedirect;
+    case OverflowPolicy::kThrottle:
+      break;
+  }
+  throttle_.NoteOverflow();
+  // Emitting back into a queue this worker itself drains can never succeed
+  // by waiting: the paper's §5 deadlock scenario.
+  if (own_queue) {
+    deadlocks_avoided_->Add();
+    dropped_overflow_->Add();
+    return Declined::kSettled;
+  }
+  if (++*attempts > kMaxThrottleRetries) {
+    dropped_overflow_->Add();
+    return Declined::kSettled;
+  }
+  clock_->SleepFor(kThrottleRetryMicros);
+  return Declined::kRetry;
+}
+
 Status EngineRuntime::Drain() {
   if (!started_) return Status::FailedPrecondition("engine not started");
   drain_waiters_.fetch_add(1, std::memory_order_acq_rel);

@@ -13,6 +13,9 @@
 //    the thread draining it), its slate caches, its failed-machine view,
 //    the flusher thread, the trace ring, and the durability plane
 //    (changelog, dedup table, checkpoint cursor);
+//  * the §4.3 send policy every engine send path runs (SendWithPolicy):
+//    failure detection on send, and drop / overflow stream / throttle on
+//    a declined push, with §5's self-emit deadlock guard;
 //  * changelog appends, checkpoints and replay, the in-flight count and
 //    Drain(), stats, statuses, watchdog signals, callback metrics, and the
 //    Stop / CrashMachine / RestartMachine lifecycle.
@@ -21,7 +24,7 @@
 // `caches` at Start(), and reaches back through a few hooks: the loop one
 // worker slot runs, the cache a replayed changelog record belongs to, and
 // its own metric families. Per-event calls (AppendSlateLog, DecInflight,
-// RunTaps, FailedSetFor) are non-virtual.
+// RunTaps, FailedSetFor, SendWithPolicy) are non-virtual.
 #ifndef MUPPET_ENGINE_RUNTIME_H_
 #define MUPPET_ENGINE_RUNTIME_H_
 
@@ -218,6 +221,45 @@ class EngineRuntime : public Engine {
   // Decrement in-flight count, waking Drain() when it reaches zero.
   void DecInflight(int64_t n);
 
+  // --- The §4.3 send policy, shared by every engine send path.
+  // Send one event with `send` (one attempt, returning its Status) and
+  // handle a decline. A failed attempt runs the policy below; the success
+  // path is the attempt plus, when `charge`, the in-flight increment.
+  //  * `charge`: count the event in inflight_ across each attempt. A
+  //    target hosted by another process charges it on receipt instead.
+  //  * `own_queue`: the target is a queue the sending worker itself
+  //    drains, where waiting can never help (the §5 self-emit deadlock).
+  //  * `stream`: the event's stream (a full overflow stream drops).
+  //  * `redirect`: redeliver the event on the overflow stream.
+  template <typename Send, typename Redirect>
+  void SendWithPolicy(MachineId to, bool charge, bool own_queue,
+                      const std::string& stream, Send&& send,
+                      Redirect&& redirect) {
+    int attempts = 0;
+    while (true) {
+      if (charge) inflight_.fetch_add(1, std::memory_order_acq_rel);
+      const Status s = send();
+      if (s.ok()) return;
+      if (charge) DecInflight(1);
+      switch (OnDeclined(s, to, own_queue, stream, &attempts)) {
+        case Declined::kRetry:
+          continue;
+        case Declined::kRedirect:
+          redirect();
+          return;
+        case Declined::kSettled:
+          return;
+      }
+    }
+  }
+
+  // Settle `n` events of a send to `to` that failed with anything but a
+  // declined push: Unavailable is how a crash is detected (§4.3), so `to`
+  // is reported to the master, which broadcasts; the events themselves
+  // are lost, not re-dispatched. Returns false, settling nothing, for
+  // ResourceExhausted (a full queue), which the overflow policy handles.
+  bool SettleFailedSend(const Status& s, MachineId to, int64_t n);
+
   // Cache, then store (§4.2); NotFound if the slate is absent everywhere.
   // `source`, when non-null, reports the slate-fetch span note: "hit",
   // "absent_cached", "store", "store_absent".
@@ -292,6 +334,14 @@ class EngineRuntime : public Engine {
   std::map<std::string, Counter*> stream_published_;
 
  private:
+  // What SendWithPolicy does after a failed attempt.
+  enum class Declined { kSettled, kRetry, kRedirect };
+  // The decline policy: a failed send settles through SettleFailedSend; a
+  // declined push drops, redirects, or throttles (bounded retries, except
+  // into the sender's own queue) per options_.overflow.
+  Declined OnDeclined(const Status& s, MachineId to, bool own_queue,
+                      const std::string& stream, int* attempts);
+
   void FlusherLoop(MachineBase* machine);
   void StartThreads(MachineBase* machine);
   // Flusher-thread checkpoint pass: sync the changelog tail; when the

@@ -89,6 +89,26 @@ TEST(CriticalPathTest, UnattributedClampsAtZeroWhenSpansOverlap) {
   EXPECT_EQ(path.unattributed_us, 0);
 }
 
+TEST(CriticalPathTest, HopEndsWhereTheReceiversQueueWaitBegins) {
+  // In process, the receiver enqueues (its queue wait starts at 20) before
+  // the sender's send call returns and closes the hop (at 30).
+  std::vector<Span> spans;
+  spans.push_back(MakeSpan(13, 1, SpanKind::kPublish, 0, 10, "s", 0, 0));
+  spans.push_back(MakeSpan(13, 2, SpanKind::kNetHop, 10, 30, "->m1", 1, 0));
+  spans.push_back(MakeSpan(13, 3, SpanKind::kQueueWait, 20, 60, "u", 1, 1));
+  spans.push_back(MakeSpan(13, 4, SpanKind::kUpdateExec, 60, 80, "u", 1, 1));
+  // A wait on another machine does not end this hop.
+  spans.push_back(MakeSpan(13, 5, SpanKind::kQueueWait, 15, 15, "v", 1, 2));
+  const CriticalPath path = ComputeCriticalPath(spans);
+  EXPECT_EQ(path.net_hop_us, 10);
+  EXPECT_EQ(path.queue_wait_us, 40);
+  EXPECT_EQ(path.total_us, 80);
+  EXPECT_EQ(path.unattributed_us, 0);
+  EXPECT_EQ(path.publish_us + path.queue_wait_us + path.exec_us +
+                path.slate_fetch_us + path.net_hop_us + path.unattributed_us,
+            path.total_us);
+}
+
 TEST(CriticalPathTest, MissingPublishLeavesStreamEmpty) {
   std::vector<Span> spans;
   spans.push_back(MakeSpan(11, 1, SpanKind::kUpdateExec, 0, 50, "count"));

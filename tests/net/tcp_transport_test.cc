@@ -406,45 +406,65 @@ Bytes SeqPayload(uint32_t seq, size_t size) {
 }
 
 // Starts a sender (node 1, machine 0) and a receiver (node 2, machine 1)
-// whose handler declines everything, then enqueues `sizes.size()` batch
-// frames. Reads on the receiving connection pause behind the declined
-// frame, so the sender's socket fills and the tail of the queue waits on
-// EPOLLOUT. Returns once the sender's queue is verifiably stuck.
-void FillBlockedSocket(Node* a, Node* b, const std::vector<size_t>& sizes) {
+// whose handler declines everything, then enqueues batch frames (frame i
+// carries a `size_of(i)`-byte payload) in rounds of `round` frames until a
+// 200 ms flush times out. Reads on the receiving connection pause behind
+// the declined frame, so once the loopback socket buffers are full the
+// tail of the queue waits on EPOLLOUT. How much the kernel absorbs first
+// depends on the host's TCP buffer autotuning, so the rounds stop only at
+// the sender's 64 MiB queue cap. Sets *frames to the number enqueued.
+template <typename SizeOf>
+void FillBlockedSocket(Node* a, Node* b, size_t round, SizeOf size_of,
+                       size_t* frames) {
+  constexpr size_t kQueueCap = 64u << 20;
   const int port_a = ReservePort();
   const int port_b = ReservePort();
-  a->Init(1, port_a, /*hosted=*/0, {PeerOf(2, port_b, {1})},
-          /*queue_cap=*/64u << 20);
+  a->Init(1, port_a, /*hosted=*/0, {PeerOf(2, port_b, {1})}, kQueueCap);
   b->Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
   b->decline.store(true);
   ASSERT_TRUE(a->transport->Start().ok());
   ASSERT_TRUE(b->transport->Start().ok());
   ASSERT_TRUE(WaitUntil([&] { return a->transport->PeerUp(2); }));
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    size_t accepted = 0;
-    ASSERT_TRUE(a->transport
-                    ->SendBatch(0, 1, SeqPayload(static_cast<uint32_t>(i),
-                                                 sizes[i]),
-                                1, &accepted)
-                    .ok());
-  }
-  EXPECT_EQ(a->transport->FlushOutbound(200 * 1000).code(),
-            StatusCode::kTimedOut)
+  *frames = 0;
+  size_t bytes = 0;  // everything enqueued bounds what is still queued
+  bool capped = false;
+  Status flushed;
+  do {
+    for (size_t j = 0; j < round; ++j) {
+      const size_t size = size_of(*frames);
+      if (bytes + size > kQueueCap) {
+        capped = true;
+        break;
+      }
+      size_t accepted = 0;
+      ASSERT_TRUE(a->transport
+                      ->SendBatch(0, 1,
+                                  SeqPayload(static_cast<uint32_t>(*frames),
+                                             size),
+                                  1, &accepted)
+                      .ok());
+      bytes += size;
+      ++*frames;
+    }
+    flushed = a->transport->FlushOutbound(200 * 1000);
+  } while (flushed.ok() && !capped);
+  EXPECT_EQ(flushed.code(), StatusCode::kTimedOut)
       << "the sender's queue drained against a paused receiver";
 }
 
 TEST(TcpTransportTest, GatheredWritesSurviveShortWritesInOrder) {
   // 1-7 KB payloads: frame edges never line up with the socket buffer, so
   // gathered writes stop inside a frame and inside an iovec.
-  std::vector<size_t> sizes;
-  for (size_t i = 0; i < 4000; ++i) sizes.push_back(1000 + (i * 7919) % 6000);
   Node a, b;
   b.record_order = true;
-  FillBlockedSocket(&a, &b, sizes);
+  size_t frames = 0;
+  FillBlockedSocket(
+      &a, &b, /*round=*/4000,
+      [](size_t i) { return 1000 + (i * 7919) % 6000; }, &frames);
   ASSERT_FALSE(HasFatalFailure());
 
   b.decline.store(false);
-  const int n = static_cast<int>(sizes.size());
+  const int n = static_cast<int>(frames);
   ASSERT_TRUE(WaitUntil([&] { return b.received.load() >= n; },
                         /*timeout_ms=*/20000));
   EXPECT_TRUE(a.transport->FlushOutbound(5 * 1000 * 1000).ok());
@@ -452,8 +472,8 @@ TEST(TcpTransportTest, GatheredWritesSurviveShortWritesInOrder) {
   b.transport->Stop();
 
   EXPECT_EQ(b.received.load(), n);
-  ASSERT_EQ(b.order.size(), sizes.size());
-  for (size_t i = 0; i < sizes.size(); ++i) {
+  ASSERT_EQ(b.order.size(), frames);
+  for (size_t i = 0; i < frames; ++i) {
     ASSERT_EQ(b.order[i], static_cast<uint32_t>(i)) << "position " << i;
   }
   EXPECT_EQ(a.transport->messages_dropped(), 0);
@@ -462,16 +482,19 @@ TEST(TcpTransportTest, GatheredWritesSurviveShortWritesInOrder) {
 
 TEST(TcpTransportTest, QueuedFramesShareSocketWrites) {
   Node a, b;
-  FillBlockedSocket(&a, &b, std::vector<size_t>(20000, 1000));
+  size_t frames = 0;
+  FillBlockedSocket(
+      &a, &b, /*round=*/20000, [](size_t) { return size_t{1000}; }, &frames);
   ASSERT_FALSE(HasFatalFailure());
   // Frames queued behind a non-empty queue owe no wakeup of their own.
   EXPECT_LT(a.transport->io_wakeups(), a.transport->frames_sent());
 
   b.decline.store(false);
-  ASSERT_TRUE(WaitUntil([&] { return b.received.load() >= 20000; },
+  const int n = static_cast<int>(frames);
+  ASSERT_TRUE(WaitUntil([&] { return b.received.load() >= n; },
                         /*timeout_ms=*/20000));
   EXPECT_TRUE(a.transport->FlushOutbound(5 * 1000 * 1000).ok());
-  EXPECT_EQ(a.transport->frames_sent(), 20000);
+  EXPECT_EQ(a.transport->frames_sent(), n);
   EXPECT_GT(a.transport->socket_writes(), 0);
   EXPECT_LT(a.transport->socket_writes(), a.transport->frames_sent());
   a.transport->Stop();

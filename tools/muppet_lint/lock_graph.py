@@ -14,6 +14,11 @@ Builds the whole-program lock acquisition graph:
   * calls made while holding a lock propagate the callee's transitive
     acquisition set (callees resolved through receiver typing: class
     members, local declarations, same-class methods, free functions);
+  * a lambda body is its own pseudo-function, since most lambdas run
+    later (callbacks, threads). A lambda passed as an argument to a
+    function that calls one of its own parameters (a template like
+    `SendWithPolicy(..., send, redirect)`) runs inside that call, so it
+    is also modelled as called from the enclosing function there;
   * MUPPET_REQUIRES(mu) on the header declaration seeds the entry-held
     set of the matching definition; MUPPET_EXCLUDES(mu) is verified at
     call sites.
@@ -135,6 +140,7 @@ class LockGraphPass:
         self._collect_classes()
         self._collect_mutexes()
         self._collect_functions()
+        self._link_invoked_lambdas()
         self._resolve_calls_and_edges()
         return self.findings
 
@@ -274,19 +280,43 @@ class LockGraphPass:
 
     def _collect_functions(self) -> None:
         lambda_counter = [0]
+        # (enclosing model, lambda, receiver, callee): a lambda written
+        # as an argument of a call, linked by _link_invoked_lambdas.
+        self._lambda_args: list[tuple[FuncModel, FunctionInfo, str,
+                                      str]] = []
         for sf in self.files:
             classes = [c for c in self.class_list if c.file is sf]
             fns = parse_functions(sf, classes)
-            all_fns: list[tuple[FunctionInfo, str]] = []
             for fn in fns:
                 blanked, lams = extract_lambdas(sf, fn, lambda_counter)
-                all_fns.append((fn, blanked))
+                models = [self._model_function(fn, blanked)]
+                models += [self._model_function(
+                    lam, sf.code[lam.body_start:lam.body_end])
+                    for lam in lams]
+                for fm in models:
+                    self.funcs.setdefault(fm_key(fm.fn), []).append(fm)
                 for lam in lams:
-                    all_fns.append(
-                        (lam, sf.code[lam.body_start:lam.body_end]))
-            for fn, body_text in all_fns:
-                fm = self._model_function(fn, body_text)
-                self.funcs.setdefault(fm_key(fn), []).append(fm)
+                    call = _enclosing_call(sf.code, fn.body_start,
+                                           lam.body_start - 1)
+                    if call is None:
+                        continue
+                    # The innermost function or lambda holding the call.
+                    owner = min(
+                        (fm for fm in models if fm.fn is not lam and
+                         fm.fn.body_start <= lam.body_start <
+                         fm.fn.body_end),
+                        key=lambda fm: fm.fn.body_end - fm.fn.body_start)
+                    self._lambda_args.append((owner, lam, *call))
+
+    def _link_invoked_lambdas(self) -> None:
+        """Model each lambda argument of a parameter-invoking callee as a
+        call from the enclosing function at the lambda's position."""
+        invoking = {key for key, models in self.funcs.items()
+                    if any(_invokes_parameter(fm) for fm in models)}
+        for owner, lam, recv, callee in self._lambda_args:
+            if any(k in invoking
+                   for k in self._candidate_keys(owner, recv, callee)):
+                owner.calls.append((lam.body_start, "", lam.name))
 
     def _model_function(self, fn: FunctionInfo, body_text: str) -> FuncModel:
         sf = fn.file
@@ -626,6 +656,59 @@ class LockGraphPass:
 
 def fm_key(fn: FunctionInfo) -> str:
     return f"{fn.cls}::{fn.name}" if fn.cls else fn.name
+
+
+CALLEE_BEFORE_PAREN_RE = re.compile(
+    r"([\w\.\]\)]+(?:->|\.))?\b([A-Za-z_]\w*)\s*(?:<[^<>;{}]*>)?\s*$")
+
+
+def _enclosing_call(code: str, lo: int, at: int
+                    ) -> tuple[str, str] | None:
+    """(receiver, callee) of the call whose argument list contains offset
+    `at` (a lambda's opening brace), or None when the lambda is not a
+    call argument (an initializer, a return value, a statement)."""
+    depth = 0
+    i = at - 1
+    while i >= lo:
+        ch = code[i]
+        if ch in ")]}":
+            depth += 1
+        elif ch in "([{":
+            if depth == 0:
+                if ch != "(":
+                    return None
+                m = CALLEE_BEFORE_PAREN_RE.search(code, lo, i)
+                if m is None or m.group(2) in NOT_CALLEES:
+                    return None
+                return (m.group(1) or "").rstrip(".->"), m.group(2)
+            depth -= 1
+        elif depth == 0 and ch == ";":
+            return None
+        i -= 1
+    return None
+
+
+def _invokes_parameter(fm: FuncModel) -> bool:
+    """True when the function calls one of its own parameters, so a
+    callable argument runs before the function returns."""
+    header = fm.fn.header_text
+    close = header.rfind(")")
+    if fm.fn.is_lambda or close < 0:
+        return False
+    depth = 0
+    for open_at in range(close, -1, -1):
+        if header[open_at] == ")":
+            depth += 1
+        elif header[open_at] == "(":
+            depth -= 1
+            if depth == 0:
+                break
+    names = set()
+    for param in split_top_level(header[open_at + 1:close]):
+        m = re.search(r"([A-Za-z_]\w*)\s*(?:=.*)?$", param.strip())
+        if m:
+            names.add(m.group(1))
+    return any(callee in names for _, recv, callee in fm.calls if not recv)
 
 
 def _scope_end(body: str, guard_start: int) -> int:

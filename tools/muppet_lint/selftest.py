@@ -63,6 +63,9 @@ def main() -> int:
           "interprocedural acquisition attributed to a function")
     check("bad_lock", "Base::TakeMid" in out,
           "call to an inherited method resolved through the base class")
+    check("bad_lock", "Retrier::Retrying" in out and "kHigh" in out,
+          "lambda passed to a parameter-invoking callee runs under the "
+          "caller's lock")
 
     with tempfile.TemporaryDirectory() as td:
         dot = os.path.join(td, "g.dot")
